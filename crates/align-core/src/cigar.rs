@@ -315,14 +315,104 @@ impl Cigar {
         }
         c
     }
+
+    /// Append the textual form (e.g. `12M1X3D`) to `out`. Run lengths
+    /// are formatted by hand, not through `core::fmt`: every output
+    /// row carries one CIGAR of thousands of runs, so this is the
+    /// record renderer's hot loop.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        // Runs are staged in a stack chunk and appended a chunk at a
+        // time: per run, only plain stores.
+        let mut chunk = [0u8; 512];
+        let mut len = 0;
+        for &(n, op) in &self.runs {
+            if len + RUN_MAX > chunk.len() {
+                out.extend_from_slice(&chunk[..len]);
+                len = 0;
+            }
+            let slot: &mut [u8; RUN_MAX] = (&mut chunk[len..len + RUN_MAX])
+                .try_into()
+                .expect("slot is RUN_MAX bytes");
+            len += encode_run(slot, n, op);
+        }
+        out.extend_from_slice(&chunk[..len]);
+    }
+
+    /// Length in bytes of the textual form, without rendering it.
+    pub fn rendered_len(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|&(n, _)| decimal_len(n as u64) + 1)
+            .sum()
+    }
+
+    /// Compare the textual forms byte by byte — the order of
+    /// `self.to_string().cmp(&other.to_string())` — without allocating.
+    pub fn cmp_rendered(&self, other: &Cigar) -> core::cmp::Ordering {
+        self.rendered_bytes().cmp(other.rendered_bytes())
+    }
+
+    fn rendered_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.runs.iter().flat_map(|&(n, op)| {
+            let mut text = [0u8; RUN_MAX];
+            let len = encode_run(&mut text, n, op);
+            text.into_iter().take(len)
+        })
+    }
+}
+
+/// The longest run text: ten digits of a `u32` plus the symbol.
+const RUN_MAX: usize = 11;
+
+/// Write one run's text (e.g. `12M`) to the front of `dst`; returns
+/// its length.
+#[inline]
+fn encode_run(dst: &mut [u8; RUN_MAX], n: u32, op: CigarOp) -> usize {
+    let sym = op.symbol() as u8;
+    if n < 100 {
+        // One or two digits — almost every run — without a
+        // data-dependent branch on the digit count.
+        let (tens, ones) = (b'0' + (n / 10) as u8, b'0' + (n % 10) as u8);
+        let two = n >= 10;
+        dst[0] = if two { tens } else { ones };
+        dst[1] = if two { ones } else { sym };
+        dst[2] = sym;
+        return 2 + two as usize;
+    }
+    let digits = decimal_len(n as u64);
+    let mut v = n;
+    for d in dst[..digits].iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    dst[digits] = sym;
+    digits + 1
+}
+
+/// Append the decimal digits of `n` to `out` (hand-rolled, like the
+/// CIGAR run lengths, for the record renderers' integer columns).
+#[inline]
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let digits = decimal_len(n);
+    for d in buf[..digits].iter_mut().rev() {
+        *d = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.extend_from_slice(&buf[..digits]);
+}
+
+/// Number of decimal digits of `n` (what [`push_decimal`] appends).
+#[inline]
+pub fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 impl core::fmt::Display for Cigar {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        for &(n, op) in &self.runs {
-            write!(f, "{n}{}", op.symbol())?;
-        }
-        Ok(())
+        let mut text = Vec::new();
+        self.write_to(&mut text);
+        f.write_str(core::str::from_utf8(&text).expect("CIGAR text is ASCII"))
     }
 }
 
@@ -441,6 +531,55 @@ mod tests {
     fn op_counts() {
         let c = Cigar::parse("2M1X3I4D").unwrap();
         assert_eq!(c.op_counts(), (2, 1, 3, 4));
+    }
+
+    #[test]
+    fn rendering_matches_fmt_for_extreme_run_lengths() {
+        let mut c = Cigar::new();
+        for (n, op) in [
+            (1, CigarOp::Match),
+            (9, CigarOp::Ins),
+            (10, CigarOp::Del),
+            (99, CigarOp::Mismatch),
+            (100, CigarOp::Match),
+            (u32::MAX, CigarOp::Ins),
+        ] {
+            c.push_run(n, op);
+        }
+        let oracle: String = c
+            .runs()
+            .iter()
+            .map(|&(n, op)| format!("{n}{}", op.symbol()))
+            .collect();
+        assert_eq!(c.to_string(), oracle);
+        assert_eq!(c.rendered_len(), oracle.len());
+        let mut out = b"prefix:".to_vec();
+        c.write_to(&mut out);
+        assert_eq!(out, format!("prefix:{oracle}").into_bytes());
+        assert_eq!(Cigar::new().to_string(), "");
+        assert_eq!(Cigar::new().rendered_len(), 0);
+    }
+
+    #[test]
+    fn decimal_helpers_match_fmt() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u32::MAX as u64, u64::MAX] {
+            let mut out = Vec::new();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().into_bytes());
+            assert_eq!(decimal_len(n), n.to_string().len());
+        }
+    }
+
+    #[test]
+    fn cmp_rendered_is_string_order() {
+        // Numeric and byte order differ: "10M" < "9M" as text.
+        let cases = ["10M", "9M", "9M1X", "9M1I", "1M", "", "10M1X", "100M"];
+        for a in cases {
+            for b in cases {
+                let (ca, cb) = (Cigar::parse(a).unwrap(), Cigar::parse(b).unwrap());
+                assert_eq!(ca.cmp_rendered(&cb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

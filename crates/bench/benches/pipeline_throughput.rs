@@ -78,7 +78,7 @@ fn streaming_records(
     reference: &align_core::Seq,
     cfg: &PipelineConfig,
 ) -> usize {
-    let backend = CpuBackend::improved();
+    let backend = std::sync::Arc::new(CpuBackend::improved());
     let stream = reads.iter().map(|(name, seq)| {
         Ok::<_, std::convert::Infallible>(ReadInput {
             name: name.clone(),
@@ -89,7 +89,7 @@ fn streaming_records(
     run_pipeline(
         stream,
         align_core::Reference::single("ref", reference.clone()),
-        &backend,
+        backend,
         cfg,
         |_| {
             n += 1;
@@ -108,7 +108,7 @@ fn streaming_metrics(
     reference: &align_core::Seq,
     cfg: &PipelineConfig,
 ) -> genasm_pipeline::PipelineMetrics {
-    let backend = CpuBackend::improved();
+    let backend = std::sync::Arc::new(CpuBackend::improved());
     let stream = reads.iter().map(|(name, seq)| {
         Ok::<_, std::convert::Infallible>(ReadInput {
             name: name.clone(),
@@ -118,7 +118,7 @@ fn streaming_metrics(
     run_pipeline(
         stream,
         align_core::Reference::single("ref", reference.clone()),
-        &backend,
+        backend,
         cfg,
         |_| Ok(()),
     )
@@ -200,7 +200,6 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
         let cfg = PipelineConfig {
             batch_bases,
             queue_depth,
-            dispatchers: 1,
             shards,
             params,
             ..PipelineConfig::default()

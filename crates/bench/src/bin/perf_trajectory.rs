@@ -90,7 +90,9 @@ fn pinned_cfg() -> PipelineConfig {
     PipelineConfig {
         batch_bases: BATCH_BASES,
         queue_depth: QUEUE_DEPTH,
-        dispatchers: 1,
+        // One engine worker per core: the CPU backends align each
+        // batch on its worker's thread.
+        dispatchers: genasm_pipeline::available_threads(),
         shards: SHARDS,
         shard_overlap: 256,
         params: CandidateParams::default(),
@@ -108,7 +110,7 @@ fn run_backend(
     let cfg = pinned_cfg();
     // A fresh backend per pass keeps the cumulative window-engine
     // counters scoped to exactly one workload traversal.
-    let run = |backend: &dyn genasm_pipeline::Backend| {
+    let run = |backend: std::sync::Arc<dyn genasm_pipeline::Backend>| {
         let stream = reads.iter().map(|(n, s)| {
             Ok::<_, std::convert::Infallible>(ReadInput {
                 name: n.clone(),
@@ -118,10 +120,10 @@ fn run_backend(
         run_pipeline(stream, reference.clone(), backend, &cfg, |_| Ok(()))
             .map_err(|e| format!("backend {name}: {e}"))
     };
-    run(kind.create().as_ref())?; // warm-up: allocators, thread pools, branch caches
+    run(kind.create())?; // warm-up: allocators, thread pools, branch caches
     let backend = kind.create();
     let t0 = Instant::now();
-    let metrics = run(backend.as_ref())?;
+    let metrics = run(backend)?;
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
     Ok(BackendRow {
         name,
@@ -250,7 +252,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"batch_bases\": {BATCH_BASES}, \"queue_depth\": {QUEUE_DEPTH}, \
-         \"shards\": {SHARDS}, \"dispatchers\": 1}},"
+         \"shards\": {SHARDS}, \"dispatchers\": {}}},",
+        pinned_cfg().dispatchers
     );
     let _ = writeln!(json, "  \"backends\": {{");
     for (i, r) in rows.iter().enumerate() {

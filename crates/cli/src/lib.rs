@@ -29,12 +29,13 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use align_core::{Reference, Seq};
+use align_core::{AlignTask, Alignment, Reference, Seq};
 use genasm_pipeline::{
-    disposition, AlignRecord, Backend, BackendChoice, CpuBackend, EdlibBackend, ExplainRecord,
-    ExplainSink, Ksw2Backend, OutputFormat, PipelineConfig, PipelineMetrics, ReadInput,
-    ReadProvenance, RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
+    disposition, AlignRecord, Backend, BackendChoice, BackendError, CpuBackend, EdlibBackend,
+    ExplainRecord, ExplainSink, Ksw2Backend, OutputFormat, PipelineConfig, PipelineMetrics,
+    ReadInput, ReadProvenance, RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
 };
 use genasm_server::client::SubmitOptions;
 use genasm_server::{Endpoint, Server, ServerConfig};
@@ -151,19 +152,19 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 pub const USAGE: &str = "usage:
   genasm simulate --genome-len N --reads N --read-len N [--contigs N] [--error R] [--seed S]
                   --ref FILE --out FILE
-  genasm map      --ref FILE --reads FILE [--max-per-read N] [--threads N] [--shards N]
+  genasm map      --ref FILE --reads FILE [--max-per-read N] [--shards N]
                   [--shard-overlap BASES]
   genasm align    --ref FILE --reads FILE [--aligner genasm|genasm-base|edlib|ksw2] [--max-per-read N]
                   [--threads N] [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--explain FILE]
   genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2|auto] [--batch-bases N]
-                  [--queue-depth N] [--dispatchers N] [--max-per-read N] [--threads N]
+                  [--queue-depth N] [--max-per-read N] [--threads N]
                   [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--metrics on|json] [--trace FILE] [--explain FILE]
                   [--route-explore-every N] [--route-pinned on]
   genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2|auto] [--format tsv|paf]
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
-                  [--dispatchers N] [--max-per-read N] [--threads N] [--shards N]
+                  [--max-per-read N] [--threads N] [--shards N]
                   [--shard-overlap BASES] [--metrics on|json] [--trace FILE] [--explain FILE]
                   [--session-output-cap BYTES] [--overflow throttle|evict]
                   [--session-inflight-reads N] [--session-inflight-bases N]
@@ -179,6 +180,9 @@ client sends `genasm ctl shutdown`; record lines from `submit` are
 byte-identical to `align` on the same reads (status goes to stderr).
 References may be multi-contig FASTA: records report contig names and
 contig-local coordinates, and shards never straddle contig boundaries.
+`--threads N` (default: all cores) is the number of engine workers:
+`align`, `pipeline` and `serve` align N batches side by side, one per
+thread, with identical output for every N.
 `--metrics json` prints a single-line machine-readable snapshot to
 stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
@@ -220,18 +224,19 @@ fn load_single_sequence(path: &str) -> Result<(String, Seq), CliError> {
     Ok((rec.name, rec.seq))
 }
 
-/// Apply `--threads N` to the global Rayon pool (0 = all cores). Only
-/// acts when the flag is present, so plain invocations keep the
-/// default pool.
-fn configure_threads(flags: &Flags) -> Result<(), CliError> {
-    if flags.get("threads").is_none() {
-        return Ok(());
+/// `--threads N`: the number of engine workers `align`, `pipeline`
+/// and `serve` run (0 or absent = every available core). It is the
+/// only parallelism knob; the old `--dispatchers` is rejected.
+fn engine_threads(flags: &Flags) -> Result<usize, CliError> {
+    if flags.get("dispatchers").is_some() {
+        return Err(CliError::usage(
+            "--dispatchers was removed: the engine runs one worker per thread; use --threads N",
+        ));
     }
-    let n: usize = flags.num("threads", 0)?;
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .map_err(|e| CliError::runtime(format!("cannot size thread pool: {e}")))
+    match flags.num("threads", 0)? {
+        0 => Ok(genasm_pipeline::available_threads()),
+        n => Ok(n),
+    }
 }
 
 fn cmd_simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
@@ -436,7 +441,6 @@ fn cmd_map(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let reads = load_fastx(flags.req("reads")?)?;
     let params = candidate_params(flags)?;
     let (shards, shard_overlap) = shard_params(flags)?;
-    configure_threads(flags)?;
     let index = ShardedIndex::build(reference, shards, shard_overlap);
     for r in &reads {
         let chains = index.chains_for_read(&r.seq, &params.chain);
@@ -525,7 +529,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let params = candidate_params(flags)?;
     let (shards, shard_overlap) = shard_params(flags)?;
     let explain = explain_sink(flags)?;
-    configure_threads(flags)?;
+    let threads = engine_threads(flags)?;
     let reference = load_reference(flags.req("ref")?)?;
     let reads = load_fastx(flags.req("reads")?)?;
     let backend = aligner.create();
@@ -548,8 +552,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
 
-    let alignments = backend
-        .align_batch(&tasks)
+    let alignments = align_on_threads(backend.as_ref(), &tasks, threads)
         .map_err(|e| CliError::runtime(e.to_string()))?;
 
     let mut rows: Vec<Vec<AlignRecord>> = reads.iter().map(|_| Vec::new()).collect();
@@ -581,10 +584,13 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             aln,
         ));
     }
+    let mut line = Vec::new();
     for per_read in &mut rows {
-        per_read.sort_by_cached_key(AlignRecord::sort_key);
+        per_read.sort_by(AlignRecord::cmp_sort_key);
         for row in per_read.iter() {
-            writeln!(out, "{}", format.line(row)).map_err(io_err)?;
+            line.clear();
+            format.write_line(row, &mut line);
+            out.write_all(&line).map_err(io_err)?;
         }
     }
     if let Some(x) = &explain {
@@ -618,6 +624,49 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Align `tasks` on `threads` scoped workers. Each worker claims the
+/// next contiguous chunk of tasks and runs it through the backend on
+/// its own thread; chunk results are put back in task order, so the
+/// output is the same for every thread count.
+fn align_on_threads(
+    backend: &dyn Backend,
+    tasks: &[AlignTask],
+    threads: usize,
+) -> Result<Vec<Option<Alignment>>, BackendError> {
+    // Small chunks balance tasks of very different lengths; a chunk
+    // claim costs one atomic add.
+    let chunks: Vec<&[AlignTask]> = tasks
+        .chunks(tasks.len().div_ceil(threads * 16).max(1))
+        .collect();
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.clamp(1, chunks.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(chunk) = chunks.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, backend.align_batch(chunk)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("align worker panicked"))
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    let mut alignments = Vec::with_capacity(tasks.len());
+    for (_, chunk) in done {
+        alignments.extend(chunk?);
+    }
+    Ok(alignments)
+}
+
 /// Streaming alignment through the bounded-queue pipeline.
 fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let backend: BackendChoice = flags
@@ -630,7 +679,7 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let cfg = PipelineConfig {
         batch_bases: flags.num("batch-bases", 256 * 1024)?,
         queue_depth: flags.num("queue-depth", 8)?,
-        dispatchers: flags.num("dispatchers", 1)?,
+        dispatchers: engine_threads(flags)?,
         shards,
         shard_overlap,
         params: candidate_params(flags)?,
@@ -639,7 +688,6 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let format = output_format(flags)?;
     let metrics_out = metrics_mode(flags);
-    configure_threads(flags)?;
     let reference = load_reference(flags.req("ref")?)?;
     let reads_path = flags.req("reads")?;
 
@@ -652,12 +700,16 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })
     });
 
+    // Each row is rendered once, into one reused buffer.
+    let mut line = Vec::new();
+    let mut write_row = |rec: &AlignRecord| {
+        line.clear();
+        format.write_line(rec, &mut line);
+        out.write_all(&line)
+    };
     let metrics = match backend.fixed() {
         Some(kind) => {
-            let backend = kind.create();
-            genasm_pipeline::run_pipeline(stream, reference, backend.as_ref(), &cfg, |rec| {
-                writeln!(out, "{}", format.line(rec))
-            })
+            genasm_pipeline::run_pipeline(stream, reference, kind.create(), &cfg, &mut write_row)
         }
         // `--backend auto`: the router assigns each batch to cpu or
         // gpu-sim from live metrics; output bytes are identical.
@@ -666,9 +718,7 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
                 explore_every: flags.num("route-explore-every", 16)?,
                 pinned: matches!(flags.get("route-pinned"), Some("on")),
             };
-            genasm_pipeline::run_pipeline_auto(stream, reference, &cfg, router, |rec| {
-                writeln!(out, "{}", format.line(rec))
-            })
+            genasm_pipeline::run_pipeline_auto(stream, reference, &cfg, router, &mut write_row)
         }
     }
     .map_err(|e| CliError::runtime(e.to_string()))?;
@@ -696,12 +746,11 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let (shards, shard_overlap) = shard_params(flags)?;
     let metrics_out = metrics_mode(flags);
     let trace = trace_recorder(flags)?;
-    configure_threads(flags)?;
     let service = ServiceConfig {
         pipeline: PipelineConfig {
             batch_bases: flags.num("batch-bases", 256 * 1024)?,
             queue_depth: flags.num("queue-depth", 8)?,
-            dispatchers: flags.num("dispatchers", 1)?,
+            dispatchers: engine_threads(flags)?,
             shards,
             shard_overlap,
             params: candidate_params(flags)?,

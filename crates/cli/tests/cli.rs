@@ -281,33 +281,22 @@ fn unknown_aligner_and_backend_list_valid_choices() {
 }
 
 #[test]
-fn threads_flag_sizes_the_global_pool() {
+fn threads_flag_never_changes_align_output() {
     let dir = tmpdir("threads");
     let (ref_path, reads_path) = simulate_workload(&dir, 2, 600);
     let baseline = run_ok(&["align", "--ref", &ref_path, "--reads", &reads_path]);
-    let threaded = run_ok(&[
-        "align",
-        "--ref",
-        &ref_path,
-        "--reads",
-        &reads_path,
-        "--threads",
-        "3",
-    ]);
-    assert_eq!(baseline, threaded, "thread count must not change output");
-    // The flag really did reconfigure the global pool.
-    assert_eq!(rayon::current_num_threads(), 3);
-    // Restore the default so other tests in this binary keep all cores.
-    run_ok(&[
-        "align",
-        "--ref",
-        &ref_path,
-        "--reads",
-        &reads_path,
-        "--threads",
-        "0",
-    ]);
-    assert!(rayon::current_num_threads() >= 1);
+    for threads in ["1", "3", "0"] {
+        let threaded = run_ok(&[
+            "align",
+            "--ref",
+            &ref_path,
+            "--reads",
+            &reads_path,
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(baseline, threaded, "--threads {threads} changed the output");
+    }
 
     let e = run_err(&[
         "align",
@@ -320,6 +309,46 @@ fn threads_flag_sizes_the_global_pool() {
     ]);
     assert_eq!(e.code, 2);
     assert!(e.message.contains("--threads"), "{}", e.message);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn engine_worker_count_never_changes_output_and_dispatchers_is_gone() {
+    let dir = tmpdir("workers");
+    let (ref_path, reads_path) = simulate_workload(&dir, 3, 700);
+    let align = run_ok(&["align", "--ref", &ref_path, "--reads", &reads_path]);
+    for threads in ["1", "2", "4"] {
+        let got = run_ok(&[
+            "pipeline",
+            "--ref",
+            &ref_path,
+            "--reads",
+            &reads_path,
+            "--batch-bases",
+            "2048",
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(
+            got, align,
+            "pipeline --threads {threads} diverged from align"
+        );
+    }
+    for cmd in ["pipeline", "serve"] {
+        let e = run_err(&[
+            cmd,
+            "--ref",
+            &ref_path,
+            "--reads",
+            &reads_path,
+            "--listen",
+            "tcp:127.0.0.1:0",
+            "--dispatchers",
+            "2",
+        ]);
+        assert_eq!(e.code, 2, "{cmd}: {}", e.message);
+        assert!(e.message.contains("--threads"), "{cmd}: {}", e.message);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

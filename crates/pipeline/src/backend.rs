@@ -1,23 +1,33 @@
 //! Pluggable alignment backends.
 //!
 //! The dispatch stage hands each scheduled batch to a [`Backend`]; the
-//! trait is the seam where the Rayon CPU batch aligner, the simulated
-//! GPU, and the baseline aligners all plug in. Backends are free to
-//! parallelize internally (the CPU backend uses one Rayon worker per
-//! core with a reused [`genasm_core::AlignWorkspace`] each; the GPU
-//! backend launches one block per task), but they must be pure: the
+//! trait is the seam where the GenASM CPU engine, the simulated GPU,
+//! and the baseline aligners all plug in. The service runs one
+//! dispatcher per thread, so the CPU backends align a batch *on the
+//! calling thread*, in task order, with no fork/join of their own:
+//! parallelism comes from the dispatchers running batches side by
+//! side. Each thread keeps one [`genasm_core::AlignWorkspace`] for its
+//! whole lifetime (a thread-local), so the hot path stays
+//! allocation-free across batches. Backends must be pure: the
 //! alignment of a task depends only on that task, never on batch
 //! composition — that is what makes pipeline output independent of
 //! batch geometry.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
-use align_core::{AlignTask, Alignment};
+use align_core::{AlignTask, Alignment, ReusableAligner};
 use baselines::{Ksw2Aligner, MyersAligner};
-use genasm_core::MemStats;
-use genasm_cpu::{align_batch_genasm, align_batch_reusing, CpuBatchAligner};
+use genasm_core::{AlignWorkspace, MemStats};
+use genasm_cpu::CpuBatchAligner;
 use genasm_gpu::GpuAligner;
 use gpu_sim::Device;
+
+thread_local! {
+    /// This thread's GenASM scratch state, reused by every CPU backend
+    /// batch the thread runs, for the thread's lifetime.
+    static WORKSPACE: RefCell<AlignWorkspace> = RefCell::new(AlignWorkspace::new());
+}
 
 /// A batch alignment engine the dispatch stage can drive.
 pub trait Backend: Send + Sync {
@@ -65,7 +75,8 @@ impl core::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// The GenASM CPU batch aligner (Rayon, allocation-free hot path).
+/// The GenASM CPU engine: aligns a batch on the calling thread with
+/// that thread's reused workspace (allocation-free hot path).
 pub struct CpuBackend {
     aligner: CpuBatchAligner,
     name: &'static str,
@@ -98,12 +109,32 @@ impl Backend for CpuBackend {
     }
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        let res = align_batch_genasm(tasks, &self.aligner.cfg);
+        let cfg = &self.aligner.cfg;
+        cfg.validate();
+        let mut stats = MemStats::new();
+        let alignments = WORKSPACE.with_borrow_mut(|ws| {
+            tasks
+                .iter()
+                .map(|t| {
+                    // The mapper's per-task edit bound caps each
+                    // window's error-row sweep; too-tight bounds fall
+                    // back to a full-budget rescue inside the hinted
+                    // driver, so the result never depends on the hint.
+                    let hint = t.max_edits.map(|e| e as usize);
+                    let a = genasm_core::align_with_workspace_hinted(
+                        &t.query, &t.target, cfg, hint, ws,
+                    )
+                    .ok();
+                    stats.merge(&ws.take_stats());
+                    a
+                })
+                .collect()
+        });
         self.stats
             .lock()
             .expect("stats mutex poisoned")
-            .merge(&res.stats);
-        Ok(res.alignments)
+            .merge(&stats);
+        Ok(alignments)
     }
 
     fn engine_stats(&self) -> Option<MemStats> {
@@ -193,6 +224,17 @@ impl Backend for GpuSimBackend {
     }
 }
 
+/// Align `tasks` in order on the calling thread, one workspace reused
+/// across the batch (the baselines' workspaces are empty, so there is
+/// nothing to keep between batches).
+fn align_in_order<A: ReusableAligner>(aligner: &A, tasks: &[AlignTask]) -> Vec<Option<Alignment>> {
+    let mut ws = A::Workspace::default();
+    tasks
+        .iter()
+        .map(|t| aligner.align_reusing(&mut ws, &t.query, &t.target).ok())
+        .collect()
+}
+
 /// Myers' bit-parallel exact aligner (the Edlib baseline).
 pub struct EdlibBackend {
     aligner: MyersAligner,
@@ -219,7 +261,7 @@ impl Backend for EdlibBackend {
     }
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        Ok(align_batch_reusing(tasks, &self.aligner).alignments)
+        Ok(align_in_order(&self.aligner, tasks))
     }
 }
 
@@ -249,14 +291,14 @@ impl Backend for Ksw2Backend {
     }
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        Ok(align_batch_reusing(tasks, &self.aligner).alignments)
+        Ok(align_in_order(&self.aligner, tasks))
     }
 }
 
 /// The selectable backends, mirroring the CLI `--backend` choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// GenASM on the Rayon CPU batch aligner.
+    /// GenASM on the CPU engine.
     Cpu,
     /// GenASM on the simulated GPU.
     GpuSim,
@@ -276,12 +318,12 @@ impl BackendKind {
     ];
 
     /// Instantiate the backend.
-    pub fn create(&self) -> Box<dyn Backend> {
+    pub fn create(&self) -> Arc<dyn Backend> {
         match self {
-            BackendKind::Cpu => Box::new(CpuBackend::improved()),
-            BackendKind::GpuSim => Box::new(GpuSimBackend::a6000()),
-            BackendKind::Edlib => Box::new(EdlibBackend::new()),
-            BackendKind::Ksw2 => Box::new(Ksw2Backend::new()),
+            BackendKind::Cpu => Arc::new(CpuBackend::improved()),
+            BackendKind::GpuSim => Arc::new(GpuSimBackend::a6000()),
+            BackendKind::Edlib => Arc::new(EdlibBackend::new()),
+            BackendKind::Ksw2 => Arc::new(Ksw2Backend::new()),
         }
     }
 }

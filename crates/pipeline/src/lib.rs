@@ -59,10 +59,18 @@
 //! stays byte-identical across shard counts and overlap settings.
 //! Records report contig names and contig-local coordinates.
 //!
-//! Backends implement [`backend::Backend`]; the Rayon CPU batch
-//! aligner, the simulated GPU, and both baselines ship in
-//! [`backend`]. All reuse per-worker workspaces internally, so the hot
-//! path stays allocation-free in steady state.
+//! Backends implement [`backend::Backend`]; the GenASM CPU engine,
+//! the simulated GPU, and both baselines ship in [`backend`].
+//!
+//! **Parallelism.** There is one knob: [`PipelineConfig::dispatchers`]
+//! engine workers (the CLI's `--threads`, default all cores). Each
+//! worker is a long-lived dispatcher thread that takes one batch at a
+//! time and aligns it on its own core with a workspace it keeps for
+//! its lifetime — no fork/join inside a batch, so no worker waits for
+//! another. A batch therefore runs on one core: a run with fewer
+//! batches than workers uses fewer cores. Rows are rendered once, by
+//! the consumer ([`record::OutputFormat::write_line`]); the sink only
+//! reorders and routes them.
 
 pub mod backend;
 pub mod batcher;
@@ -77,7 +85,7 @@ pub mod service;
 use std::sync::Arc;
 use std::time::Duration;
 
-use align_core::{AlignTask, Alignment, Reference, Seq};
+use align_core::{Reference, Seq};
 use mapper::CandidateParams;
 
 pub use backend::{
@@ -119,8 +127,10 @@ pub struct PipelineConfig {
     /// `queue_depth × batch_bases` bases, the batch and result queues
     /// `queue_depth` batches each.
     pub queue_depth: usize,
-    /// Backend dispatch workers. 1 is right for backends that
-    /// parallelize internally (CPU/Rayon, GPU); more overlaps batches.
+    /// Engine workers: dispatcher threads, each running one batch at
+    /// a time on its own core (the CPU backends do not fork within a
+    /// batch). Defaults to the available cores; the CLI sets it from
+    /// `--threads`. Output is byte-identical for every count.
     pub dispatchers: usize,
     /// Reference shards for the candidate-generation stage: the
     /// reference index is split into this many overlapping slices and
@@ -153,7 +163,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             batch_bases: 256 * 1024,
             queue_depth: 8,
-            dispatchers: 1,
+            dispatchers: available_threads(),
             shards: 1,
             shard_overlap: 256,
             params: CandidateParams::default(),
@@ -161,6 +171,12 @@ impl Default for PipelineConfig {
             explain: None,
         }
     }
+}
+
+/// The machine's available parallelism (1 when it cannot be read):
+/// the default number of engine workers.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Fixed trace lane (`tid`) assignment shared by the one-shot
@@ -177,19 +193,25 @@ pub(crate) mod tids {
     pub const SINK: u64 = 3;
     /// Session lifecycle (service only).
     pub const SESSION: u64 = 4;
-    /// First backend lane; backend `i` uses `BACKEND0 + i`.
+    /// First backend lane: backend `b` on engine worker `w` (of
+    /// `workers`) uses `BACKEND0 + b × workers + w`.
     pub const BACKEND0: u64 = 8;
 }
 
-/// Emit the lane-name metadata events every trace starts with.
-pub(crate) fn trace_lanes(trace: &TraceRecorder, backends: &[&str]) {
+/// Emit the lane-name metadata events every trace starts with: one
+/// lane per backend per engine worker, so each worker's batches form
+/// their own track.
+pub(crate) fn trace_lanes(trace: &TraceRecorder, backends: &[&str], workers: usize) {
     trace.thread_name(tids::READS, "reads");
     trace.thread_name(tids::INGEST, "ingest/map");
     trace.thread_name(tids::SCHED, "scheduler");
     trace.thread_name(tids::SINK, "sink");
     trace.thread_name(tids::SESSION, "sessions");
-    for (i, name) in backends.iter().enumerate() {
-        trace.thread_name(tids::BACKEND0 + i as u64, &format!("backend:{name}"));
+    for (b, name) in backends.iter().enumerate() {
+        for w in 0..workers {
+            let tid = tids::BACKEND0 + (b * workers + w) as u64;
+            trace.thread_name(tid, &format!("backend:{name}/worker{w}"));
+        }
     }
 }
 
@@ -252,24 +274,6 @@ impl core::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// A caller-borrowed backend adapted into the service's owned-table
-/// shape: pure delegation to the wrapped `&dyn Backend`.
-struct BorrowedBackend(&'static dyn Backend);
-
-impl Backend for BorrowedBackend {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        self.0.align_batch(tasks)
-    }
-
-    fn engine_stats(&self) -> Option<genasm_core::MemStats> {
-        self.0.engine_stats()
-    }
-}
-
 /// Run the pipeline to completion.
 ///
 /// A thin wrapper over [`service::PipelineService`]: it starts a
@@ -292,7 +296,7 @@ impl Backend for BorrowedBackend {
 pub fn run_pipeline<I, E, F>(
     reads: I,
     reference: Reference,
-    backend: &dyn Backend,
+    backend: Arc<dyn Backend>,
     cfg: &PipelineConfig,
     mut on_record: F,
 ) -> Result<PipelineMetrics, PipelineError>
@@ -301,16 +305,9 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    // SAFETY: lifetime-only widening of the borrow handed to the
-    // service's backend table. The service's stage threads are the
-    // only holders, and `run_oneshot` drops the service — whose Drop
-    // joins every stage thread — before returning, including on
-    // unwind, so the 'static promise never outlives the real borrow.
-    let backend: &'static dyn Backend = unsafe { core::mem::transmute(backend) };
     // The kind is a routing tag for the single-entry table; the
     // session is fixed to it, so it never reaches the auto router.
-    let table: Vec<(BackendKind, Box<dyn Backend>)> =
-        vec![(BackendKind::Cpu, Box::new(BorrowedBackend(backend)))];
+    let table = vec![(BackendKind::Cpu, backend)];
     run_oneshot(
         reads,
         reference,
@@ -344,7 +341,7 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    let table: Vec<(BackendKind, Box<dyn Backend>)> = vec![
+    let table = vec![
         (BackendKind::Cpu, BackendKind::Cpu.create()),
         (BackendKind::GpuSim, BackendKind::GpuSim.create()),
     ];
@@ -364,7 +361,7 @@ where
 fn run_oneshot<I, E, F>(
     reads: I,
     reference: Reference,
-    backends: Vec<(BackendKind, Box<dyn Backend>)>,
+    backends: Vec<(BackendKind, Arc<dyn Backend>)>,
     choice: BackendChoice,
     cfg: &PipelineConfig,
     router: RouterConfig,

@@ -512,8 +512,12 @@ pub struct PipelineMetrics {
     pub mapper_busy: Duration,
     /// Busy time of the batch scheduler stage.
     pub scheduler_busy: Duration,
-    /// Busy time inside backend `align_batch` calls.
+    /// Busy time inside backend `align_batch` calls, summed over the
+    /// engine workers.
     pub backend_busy: Duration,
+    /// Engine workers (dispatcher threads) the backend time is spread
+    /// over.
+    pub engine_workers: usize,
     /// Busy time of the reorder/format sink stage.
     pub sink_busy: Duration,
     /// End-to-end wall clock of the run.
@@ -552,12 +556,14 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Fraction of wall-clock the backend stage was busy, in `[0, 1]`.
+    /// Fraction of the engine workers' wall-clock capacity spent in
+    /// backend calls — summed busy ÷ (wall × workers) — in `[0, 1]`.
     pub fn backend_utilization(&self) -> f64 {
         if self.wall.as_nanos() == 0 {
             return 0.0;
         }
-        (self.backend_busy.as_secs_f64() / self.wall.as_secs_f64()).min(1.0)
+        let capacity = self.wall.as_secs_f64() * self.engine_workers.max(1) as f64;
+        (self.backend_busy.as_secs_f64() / capacity).min(1.0)
     }
 
     /// Mean bases per dispatched batch.
@@ -716,10 +722,12 @@ impl PipelineMetrics {
         );
         let _ = writeln!(
             s,
-            "busy:     map {:.1?}, schedule {:.1?}, backend {:.1?} ({:.0}% util), sink {:.1?}, wall {:.1?}",
+            "busy:     map {:.1?}, schedule {:.1?}, backend {:.1?} over {} worker(s) ({:.0}% util), \
+             sink {:.1?}, wall {:.1?}",
             self.mapper_busy,
             self.scheduler_busy,
             self.backend_busy,
+            self.engine_workers,
             100.0 * self.backend_utilization(),
             self.sink_busy,
             self.wall
@@ -747,7 +755,7 @@ impl PipelineMetrics {
              \"max_batch_bases\":{},\"records_out\":{},\
              \"max_inflight_bases\":{},\"max_inflight_tasks\":{},\
              \"wall_ns\":{},\
-             \"query_bases_per_sec\":{},\"backend_utilization\":{}",
+             \"query_bases_per_sec\":{},\"backend_utilization\":{},\"engine_workers\":{}",
             self.reads_in,
             self.reads_mapped,
             self.tasks_generated,
@@ -764,6 +772,7 @@ impl PipelineMetrics {
             self.wall.as_nanos(),
             genasm_telemetry::json::number(self.query_bases_per_sec()),
             genasm_telemetry::json::number(self.backend_utilization()),
+            self.engine_workers,
         );
         let _ = write!(s, ",\"funnel\":{}", self.funnel.to_json());
         s.push_str(",\"slow_reads\":[");
@@ -896,6 +905,18 @@ impl PipelineMetrics {
             "gauge",
             self.shard_index.shards.len() as u64,
         );
+        line(
+            &mut out,
+            "genasm_engine_workers",
+            "gauge",
+            self.engine_workers as u64,
+        );
+        let _ = writeln!(out, "# TYPE genasm_backend_utilization gauge");
+        let _ = writeln!(
+            out,
+            "genasm_backend_utilization {}",
+            genasm_telemetry::json::number(self.backend_utilization())
+        );
         if let Some(e) = &self.engine {
             line(
                 &mut out,
@@ -941,9 +962,11 @@ impl PipelineMetrics {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn snapshot(
         c: &StageCounters,
         wall: Duration,
+        engine_workers: usize,
         shard_index: ShardIndexMetrics,
         task_queue: QueueMetrics,
         batch_queue: QueueMetrics,
@@ -983,6 +1006,7 @@ impl PipelineMetrics {
             mapper_busy: Duration::from_nanos(c.mapper_ns.get()),
             scheduler_busy: Duration::from_nanos(c.scheduler_ns.get()),
             backend_busy: Duration::from_nanos(c.backend_ns.get()),
+            engine_workers,
             sink_busy: Duration::from_nanos(c.sink_ns.get()),
             wall,
             task_queue,
@@ -1034,6 +1058,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1066,11 +1091,34 @@ mod tests {
         let c = StageCounters::default();
         StageCounters::add_ns(&c.backend_ns, Duration::from_secs(10));
         let q = q1();
-        let m = PipelineMetrics::snapshot(&c, Duration::from_secs(2), no_shards(), q, q, q, None);
+        let m =
+            PipelineMetrics::snapshot(&c, Duration::from_secs(2), 1, no_shards(), q, q, q, None);
         assert_eq!(m.backend_utilization(), 1.0);
         assert!(!m.summary().is_empty());
         // Without engine stats the band line is absent entirely.
         assert!(!m.summary().contains("band:"), "{}", m.summary());
+    }
+
+    #[test]
+    fn utilization_divides_by_engine_workers() {
+        let c = StageCounters::default();
+        StageCounters::add_ns(&c.backend_ns, Duration::from_secs(3));
+        let q = q1();
+        let m =
+            PipelineMetrics::snapshot(&c, Duration::from_secs(2), 2, no_shards(), q, q, q, None);
+        assert!((m.backend_utilization() - 0.75).abs() < 1e-9);
+        assert!(
+            m.summary().contains("over 2 worker(s) (75% util)"),
+            "{}",
+            m.summary()
+        );
+        assert!(m
+            .to_json()
+            .contains("\"backend_utilization\":0.750,\"engine_workers\":2"));
+        assert!(m
+            .to_prometheus()
+            .contains("genasm_backend_utilization 0.750\n"));
+        assert!(m.to_prometheus().contains("genasm_engine_workers 2\n"));
     }
 
     #[test]
@@ -1088,6 +1136,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q,
             q,
@@ -1128,7 +1177,8 @@ mod tests {
             overlap: 100,
             reference_bytes: 250,
         };
-        let m = PipelineMetrics::snapshot(&c, Duration::from_secs(1), shard_index, q, q, q, None);
+        let m =
+            PipelineMetrics::snapshot(&c, Duration::from_secs(1), 1, shard_index, q, q, q, None);
         let s = m.summary();
         assert!(
             s.contains("shards:   2 over 1 contig(s) (overlap 100 bases, 250 resident ref bytes)"),
@@ -1152,6 +1202,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1183,6 +1234,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1202,6 +1254,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1239,6 +1292,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1300,6 +1354,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1355,6 +1410,7 @@ mod tests {
         let a = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
+            1,
             no_shards(),
             q1(),
             q1(),
@@ -1367,6 +1423,7 @@ mod tests {
         let b = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(2),
+            1,
             no_shards(),
             q1(),
             q1(),

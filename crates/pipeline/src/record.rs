@@ -13,6 +13,14 @@
 //! printed with four decimals. [`AlignRecord::parse_tsv`] inverts the
 //! formatter (used by tests and any downstream tooling).
 //!
+//! Rows render straight into a caller's byte buffer
+//! ([`AlignRecord::write_tsv`], [`AlignRecord::write_paf`],
+//! [`OutputFormat::write_line`]) with hand-formatted integers and
+//! CIGARs; the `String`-returning forms are thin wrappers. Consumers
+//! render each row exactly once, and the sink never renders at all: it
+//! charges a session's output budget [`AlignRecord::tsv_len`], which
+//! is computed without rendering.
+//!
 //! [`AlignRecord::to_paf`] renders the same record as a standard PAF
 //! row (minimap2 convention: 12 mandatory columns plus `NM:i:` and
 //! `cg:Z:` tags), selected via [`OutputFormat`] on every front end
@@ -29,6 +37,9 @@
 //! emitted byte-for-byte unchanged, so the escaping is invisible to
 //! the determinism contract.
 
+use std::cmp::Ordering;
+
+use align_core::cigar::{decimal_len, push_decimal};
 use align_core::{Alignment, Cigar};
 
 /// Escape a name field for TSV: `\` → `\\`, tab → `\t`, newline →
@@ -38,17 +49,66 @@ pub fn escape_name(s: &str) -> std::borrow::Cow<'_, str> {
     if !s.contains(['\\', '\t', '\n', '\r']) {
         return std::borrow::Cow::Borrowed(s);
     }
-    let mut out = String::with_capacity(s.len() + 4);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+    let mut out = Vec::with_capacity(s.len() + 4);
+    push_escaped(&mut out, s);
+    std::borrow::Cow::Owned(into_string(out))
+}
+
+/// Append `s` escaped as by [`escape_name`] — the one escaper. The
+/// escaped characters are ASCII, so escaping byte by byte keeps UTF-8
+/// intact.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[plain..i]);
+        out.extend_from_slice(esc);
+        plain = i + 1;
+    }
+    out.extend_from_slice(&bytes[plain..]);
+}
+
+/// Length of [`escape_name`]`(s)`: every escaped character doubles.
+fn escaped_len(s: &str) -> usize {
+    s.len()
+        + s.bytes()
+            .filter(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+            .count()
+}
+
+/// The identity column: `{:.4}`, left to `core::fmt` so rounding of
+/// exact ties stays the standard library's.
+fn push_identity(out: &mut Vec<u8>, identity: f64) {
+    use std::io::Write;
+    write!(out, "{identity:.4}").expect("writing to a Vec cannot fail");
+}
+
+/// Length of the identity column, counted without a buffer.
+fn identity_len(identity: f64) -> usize {
+    use std::fmt::Write;
+    struct Count(usize);
+    impl Write for Count {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
         }
     }
-    std::borrow::Cow::Owned(out)
+    let mut n = Count(0);
+    write!(n, "{identity:.4}").expect("counting cannot fail");
+    n.0
+}
+
+/// Bytes rendered by a renderer into a `String`: every piece is ASCII
+/// or a copy of a UTF-8 name, so validation cannot fail.
+fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("rendered rows are UTF-8")
 }
 
 /// Invert [`escape_name`]; rejects dangling or unknown escapes with a
@@ -146,20 +206,55 @@ impl AlignRecord {
         )
     }
 
+    /// Compare two rows by [`AlignRecord::sort_key`] without building
+    /// the keys: the numeric fields decide almost every pair, and the
+    /// CIGAR texts are compared — without allocating — only on a full
+    /// tie. Exactly `a.sort_key().cmp(&b.sort_key())`.
+    pub fn cmp_sort_key(a: &AlignRecord, b: &AlignRecord) -> Ordering {
+        (a.edit_distance, a.tstart, a.tend)
+            .cmp(&(b.edit_distance, b.tstart, b.tend))
+            .then_with(|| a.cigar.cmp_rendered(&b.cigar))
+    }
+
     /// Format as one TSV row (no trailing newline). Name columns are
     /// escaped so tabs/newlines in read names cannot break the row.
     pub fn to_tsv(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}",
-            escape_name(&self.qname),
-            self.qlen,
-            escape_name(&self.tname),
-            self.tstart,
-            self.tend,
-            self.edit_distance,
-            self.cigar,
-            self.identity
-        )
+        let mut out = Vec::new();
+        self.write_tsv(&mut out);
+        into_string(out)
+    }
+
+    /// Append the [`AlignRecord::to_tsv`] row (no trailing newline) to
+    /// `out`.
+    pub fn write_tsv(&self, out: &mut Vec<u8>) {
+        push_escaped(out, &self.qname);
+        out.push(b'\t');
+        push_decimal(out, self.qlen as u64);
+        out.push(b'\t');
+        push_escaped(out, &self.tname);
+        for n in [self.tstart, self.tend, self.edit_distance] {
+            out.push(b'\t');
+            push_decimal(out, n as u64);
+        }
+        out.push(b'\t');
+        self.cigar.write_to(out);
+        out.push(b'\t');
+        push_identity(out, self.identity);
+    }
+
+    /// Length in bytes of [`AlignRecord::to_tsv`], computed without
+    /// rendering the row — what the sink charges a session's output
+    /// budget.
+    pub fn tsv_len(&self) -> usize {
+        escaped_len(&self.qname)
+            + escaped_len(&self.tname)
+            + [self.qlen, self.tstart, self.tend, self.edit_distance]
+                .iter()
+                .map(|&n| decimal_len(n as u64))
+                .sum::<usize>()
+            + self.cigar.rendered_len()
+            + identity_len(self.identity)
+            + 7 // tabs
     }
 
     /// Parse a row produced by [`AlignRecord::to_tsv`]. The TSV row
@@ -200,22 +295,30 @@ impl AlignRecord {
     /// Mapping quality is not computed by this suite, so column 12 is
     /// the PAF "missing" value 255.
     pub fn to_paf(&self) -> String {
+        let mut out = Vec::new();
+        self.write_paf(&mut out);
+        into_string(out)
+    }
+
+    /// Append the [`AlignRecord::to_paf`] row (no trailing newline) to
+    /// `out`.
+    pub fn write_paf(&self, out: &mut Vec<u8>) {
         let (m, x, i, d) = self.cigar.op_counts();
-        format!(
-            "{}\t{}\t0\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t255\tNM:i:{}\tcg:Z:{}",
-            escape_name(&self.qname),
-            self.qlen,
-            self.cigar.query_len(),
-            if self.reverse { '-' } else { '+' },
-            escape_name(&self.tname),
-            self.tsize,
-            self.tstart,
-            self.tend,
-            m,
-            m + x + i + d,
-            self.edit_distance,
-            self.cigar
-        )
+        push_escaped(out, &self.qname);
+        out.push(b'\t');
+        push_decimal(out, self.qlen as u64);
+        out.extend_from_slice(b"\t0\t");
+        push_decimal(out, self.cigar.query_len() as u64);
+        out.extend_from_slice(if self.reverse { b"\t-\t" } else { b"\t+\t" });
+        push_escaped(out, &self.tname);
+        for n in [self.tsize, self.tstart, self.tend, m, m + x + i + d] {
+            out.push(b'\t');
+            push_decimal(out, n as u64);
+        }
+        out.extend_from_slice(b"\t255\tNM:i:");
+        push_decimal(out, self.edit_distance as u64);
+        out.extend_from_slice(b"\tcg:Z:");
+        self.cigar.write_to(out);
     }
 
     /// Parse a row produced by [`AlignRecord::to_paf`]. Requires the
@@ -296,6 +399,17 @@ impl OutputFormat {
             OutputFormat::Tsv => rec.to_tsv(),
             OutputFormat::Paf => rec.to_paf(),
         }
+    }
+
+    /// Append one record as a line in this format, newline included,
+    /// to `out` — the consumers' render path: one render per row, into
+    /// a reused buffer.
+    pub fn write_line(&self, rec: &AlignRecord, out: &mut Vec<u8>) {
+        match self {
+            OutputFormat::Tsv => rec.write_tsv(out),
+            OutputFormat::Paf => rec.write_paf(out),
+        }
+        out.push(b'\n');
     }
 }
 

@@ -551,7 +551,7 @@ struct Shared {
     ref_label: String,
     index: ShardedIndex,
     cfg: ServiceConfig,
-    backends: Vec<(BackendKind, Box<dyn Backend>)>,
+    backends: Vec<(BackendKind, Arc<dyn Backend>)>,
     task_q: BoundedQueue<(AlignTask, TaskMeta, BackendChoice)>,
     batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
@@ -571,15 +571,20 @@ impl Shared {
         self.cfg.pipeline.trace.as_deref()
     }
 
-    /// Trace lane for backend `kind` (stable: index into the resident
-    /// backend table).
-    fn backend_tid(&self, kind: BackendKind) -> u64 {
-        tids::BACKEND0
-            + self
-                .backends
-                .iter()
-                .position(|(k, _)| *k == kind)
-                .unwrap_or(0) as u64
+    /// Trace lane for backend `kind` on engine worker `worker`
+    /// (stable: index into the resident backend table).
+    fn backend_tid(&self, kind: BackendKind, worker: usize) -> u64 {
+        let b = self
+            .backends
+            .iter()
+            .position(|(k, _)| *k == kind)
+            .unwrap_or(0);
+        tids::BACKEND0 + (b * self.workers() + worker) as u64
+    }
+
+    /// Engine workers (dispatcher threads).
+    fn workers(&self) -> usize {
+        self.cfg.pipeline.dispatchers.max(1)
     }
 }
 
@@ -597,7 +602,7 @@ impl PipelineService {
     /// the index's shard-local slices — spawn the resident stages, and
     /// return the running service.
     pub fn start(ref_label: &str, reference: Reference, cfg: ServiceConfig) -> PipelineService {
-        let backends: Vec<(BackendKind, Box<dyn Backend>)> = BackendKind::ALL
+        let backends: Vec<(BackendKind, Arc<dyn Backend>)> = BackendKind::ALL
             .iter()
             .map(|&(kind, _)| (kind, kind.create()))
             .collect();
@@ -607,14 +612,14 @@ impl PipelineService {
     /// [`PipelineService::start`] with an explicit backend table
     /// (kind tag → implementation). Sessions can only pick backends
     /// present in the table; the one-shot wrapper uses this to run
-    /// against a caller-borrowed backend. The `auto` router routes
+    /// against a caller-supplied backend. The `auto` router routes
     /// over the table's bit-identical engines (`cpu`, `gpu-sim`), or
     /// over the whole table when neither is present.
     pub fn start_with_backends(
         ref_label: &str,
         reference: Reference,
         cfg: ServiceConfig,
-        backends: Vec<(BackendKind, Box<dyn Backend>)>,
+        backends: Vec<(BackendKind, Arc<dyn Backend>)>,
     ) -> PipelineService {
         assert!(!backends.is_empty(), "service needs at least one backend");
         let pcfg = &cfg.pipeline;
@@ -657,15 +662,15 @@ impl PipelineService {
             cfg,
         });
         if let Some(t) = shared.trace() {
-            trace_lanes(t, &lane_names);
+            trace_lanes(t, &lane_names, shared.workers());
         }
 
         let mut handles = Vec::new();
         let sh = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || scheduler_loop(&sh)));
-        for _ in 0..shared.cfg.pipeline.dispatchers.max(1) {
+        for worker in 0..shared.workers() {
             let sh = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || dispatch_loop(&sh)));
+            handles.push(std::thread::spawn(move || dispatch_loop(&sh, worker)));
         }
         let sh = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || sink_loop(&sh)));
@@ -790,6 +795,7 @@ impl PipelineService {
         PipelineMetrics::snapshot(
             &sh.counters,
             sh.started.elapsed(),
+            sh.workers(),
             sh.index.metrics(),
             QueueMetrics {
                 capacity: sh.task_q.capacity(),
@@ -1394,7 +1400,9 @@ fn scheduler_loop(sh: &Shared) {
     sh.batch_q.close();
 }
 
-fn dispatch_loop(sh: &Shared) {
+/// One engine worker: pops a batch, runs it on this thread, pushes
+/// the result. `worker` only names the trace lane.
+fn dispatch_loop(sh: &Shared, worker: usize) {
     let mut lats: Vec<(BackendKind, BackendLat)> = Vec::new();
     while let Some((batch, kind)) = sh.batch_q.pop() {
         let t0 = Instant::now();
@@ -1433,7 +1441,7 @@ fn dispatch_loop(sh: &Shared) {
         lat.tasks.add(batch.tasks.len() as u64);
         lat.bases.add(batch.bases as u64);
         if let Some(t) = sh.trace() {
-            let tid = sh.backend_tid(kind);
+            let tid = sh.backend_tid(kind, worker);
             let args = [
                 ("batch", batch.seq.into()),
                 ("tasks", batch.tasks.len().into()),
@@ -1555,10 +1563,13 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
         }
     } else {
         let mut rows = acc.rows;
-        rows.sort_by_cached_key(AlignRecord::sort_key);
+        // Stable, like `sort_by_cached_key(AlignRecord::sort_key)`, so
+        // the order is exactly the documented one.
+        rows.sort_by(AlignRecord::cmp_sort_key);
         // Accounted as the TSV rendering plus a newline per row — the
-        // bytes a server would buffer for this delivery.
-        let bytes: u64 = rows.iter().map(|r| r.to_tsv().len() as u64 + 1).sum();
+        // bytes a server would buffer for this delivery — without
+        // rendering: consumers render each row once, on their side.
+        let bytes: u64 = rows.iter().map(|r| r.tsv_len() as u64 + 1).sum();
         match st.gate.buffer(bytes) {
             BufferOutcome::Deliver => {
                 st.metrics.records_out += rows.len() as u64;

@@ -21,6 +21,8 @@
 //! (which must leave every output byte untouched while it spreads
 //! batches across cpu and gpu-sim).
 
+use std::sync::Arc;
+
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
     run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, PipelineConfig,
@@ -118,7 +120,7 @@ fn workload_contigs(
 fn run_stream(
     reads: &[(String, Seq)],
     reference: &Reference,
-    backend: &dyn Backend,
+    backend: &Arc<dyn Backend>,
     cfg: &PipelineConfig,
 ) -> (String, genasm_pipeline::PipelineMetrics) {
     let stream = reads.iter().map(|(name, seq)| {
@@ -144,7 +146,7 @@ fn run_stream(
             },
         )
     } else {
-        run_pipeline(stream, reference.clone(), backend, cfg, |rec| {
+        run_pipeline(stream, reference.clone(), Arc::clone(backend), cfg, |rec| {
             on_record(&mut buf, rec);
             Ok(())
         })
@@ -155,8 +157,8 @@ fn run_stream(
 
 /// The one-shot oracle: per-contig flat `MinimizerIndex` seeding and
 /// chaining (no `ShardedIndex` involved), chains merged by score with
-/// contig order as the stable tiebreak, whole batch aligned with the
-/// Rayon CPU batch aligner, printed per read. For one contig this is
+/// contig order as the stable tiebreak, each read's tasks aligned by
+/// the CPU backend in one call, printed per read. For one contig this is
 /// exactly the pre-multi-contig seed path.
 fn one_shot_cpu(
     reads: &[(String, Seq)],
@@ -168,7 +170,7 @@ fn one_shot_cpu(
         .iter()
         .map(|c| MinimizerIndex::build(&c.seq))
         .collect();
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let mut out = String::new();
     for (i, (name, seq)) in reads.iter().enumerate() {
         let mut merged: Vec<(u32, mapper::Chain)> = Vec::new();
@@ -220,6 +222,15 @@ fn one_shot_cpu(
     out
 }
 
+/// Engine worker counts the determinism sweeps run: the default (one
+/// per available core) plus 1, 2 and 4 workers.
+fn worker_counts() -> Vec<usize> {
+    let mut counts = vec![PipelineConfig::default().dispatchers, 1, 2, 4];
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
 #[test]
 fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
     let (reference, reads) = workload(60_000, 12, 800);
@@ -227,12 +238,12 @@ fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
     let expected = one_shot_cpu(&reads, &reference, &params);
     assert!(!expected.is_empty(), "workload produced no alignments");
 
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
     // the whole workload in one or two batches.
     for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
         for queue_depth in [1usize, 8] {
-            for dispatchers in [1usize, 3] {
+            for dispatchers in worker_counts() {
                 let cfg = PipelineConfig {
                     batch_bases,
                     queue_depth,
@@ -269,10 +280,10 @@ fn output_is_byte_identical_across_shard_counts_and_overlaps() {
     let expected = one_shot_cpu(&reads, &reference, &params);
     assert!(!expected.is_empty(), "workload produced no alignments");
 
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     for shards in [1usize, 2, 7] {
         for batch_bases in [4 * 1024usize, 1024 * 1024] {
-            for dispatchers in [1usize, 3] {
+            for dispatchers in worker_counts() {
                 let cfg = PipelineConfig {
                     batch_bases,
                     dispatchers,
@@ -332,7 +343,7 @@ fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
         .iter()
         .map(|c| (c.name.to_string(), c.len()))
         .collect();
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let mut recs: Vec<AlignRecord> = Vec::new();
     for shards in [1usize, 2, 7] {
         let cfg = PipelineConfig {
@@ -348,12 +359,18 @@ fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
         });
         let mut buf = String::new();
         recs.clear();
-        run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
-            buf.push_str(&rec.to_tsv());
-            buf.push('\n');
-            recs.push(rec.clone());
-            Ok(())
-        })
+        run_pipeline(
+            stream,
+            reference.clone(),
+            Arc::clone(&backend),
+            &cfg,
+            |rec| {
+                buf.push_str(&rec.to_tsv());
+                buf.push('\n');
+                recs.push(rec.clone());
+                Ok(())
+            },
+        )
         .expect("pipeline run failed");
         assert_eq!(buf, expected, "diverged from the oracle at shards={shards}");
     }
@@ -389,7 +406,7 @@ fn sharded_runs_report_per_shard_metrics() {
     // Pinned to one contig: the consecutive-span overlap assertions
     // below only hold within a contig.
     let (reference, reads) = workload_contigs(50_000, 8, 700, 1);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         shards: 4,
         shard_overlap: 2_048,
@@ -419,7 +436,7 @@ fn sharded_runs_report_per_shard_metrics() {
 #[test]
 fn output_is_independent_of_rayon_thread_count() {
     let (reference, reads) = workload(40_000, 6, 700);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         batch_bases: 8 * 1024,
         queue_depth: 2,
@@ -445,7 +462,7 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
     // Workload far larger than the queue capacity: 150 reads stream
     // through a pipeline configured to hold ~one 2 KB batch per stage.
     let (reference, reads) = workload(50_000, 150, 500);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         batch_bases: 2 * 1024,
         queue_depth: 1,
@@ -485,7 +502,7 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
 #[test]
 fn metrics_report_every_stage() {
     let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         batch_bases: 4 * 1024,
         queue_depth: 4,
@@ -558,7 +575,7 @@ fn metrics_report_every_stage() {
 #[test]
 fn input_errors_propagate_and_unwind_cleanly() {
     let (reference, reads) = workload(30_000, 3, 500);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig::default();
     let stream = reads
         .iter()
@@ -569,8 +586,14 @@ fn input_errors_propagate_and_unwind_cleanly() {
             })
         })
         .chain(std::iter::once(Err("disk on fire")));
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(()))
-        .expect_err("input error must fail the run");
+    let err = run_pipeline(
+        stream,
+        reference.clone(),
+        Arc::clone(&backend),
+        &cfg,
+        |_| Ok(()),
+    )
+    .expect_err("input error must fail the run");
     match err {
         PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
         other => panic!("unexpected error {other}"),
@@ -580,7 +603,7 @@ fn input_errors_propagate_and_unwind_cleanly() {
 #[test]
 fn sink_errors_propagate_and_unwind_cleanly() {
     let (reference, reads) = workload(30_000, 3, 500);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         batch_bases: 1, // many small batches keep upstream stages busy
         queue_depth: 1,
@@ -592,9 +615,13 @@ fn sink_errors_propagate_and_unwind_cleanly() {
             seq: seq.clone(),
         })
     });
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| {
-        Err(std::io::Error::other("broken pipe"))
-    })
+    let err = run_pipeline(
+        stream,
+        reference.clone(),
+        Arc::clone(&backend),
+        &cfg,
+        |_| Err(std::io::Error::other("broken pipe")),
+    )
     .expect_err("sink error must fail the run");
     match err {
         PipelineError::Sink(e) => assert!(e.to_string().contains("broken pipe")),
@@ -635,10 +662,10 @@ fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
     }
 
     let (reference, reads) = workload(40_000, 10, 600);
-    let backend = FlakyBackend {
+    let backend: Arc<dyn Backend> = Arc::new(FlakyBackend {
         inner: CpuBackend::improved(),
         calls: std::sync::atomic::AtomicUsize::new(0),
-    };
+    });
     let cfg = PipelineConfig {
         batch_bases: 2 * 1024, // several batches, so reads span the failure
         queue_depth: 2,
@@ -652,10 +679,16 @@ fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
         })
     });
     let mut emitted: Vec<String> = Vec::new();
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
-        emitted.push(rec.qname.clone());
-        Ok(())
-    })
+    let err = run_pipeline(
+        stream,
+        reference.clone(),
+        Arc::clone(&backend),
+        &cfg,
+        |rec| {
+            emitted.push(rec.qname.clone());
+            Ok(())
+        },
+    )
     .expect_err("injected backend failure must fail the run");
     match err {
         PipelineError::Backend(e) => assert!(e.to_string().contains("injected failure")),
@@ -691,12 +724,12 @@ fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
 #[test]
 fn empty_input_completes_with_zero_records() {
     let (reference, _) = workload(30_000, 1, 500);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let stream = std::iter::empty::<Result<ReadInput, std::convert::Infallible>>();
     let metrics = run_pipeline(
         stream,
         reference,
-        &backend,
+        backend,
         &PipelineConfig::default(),
         |_| Ok(()),
     )
@@ -713,10 +746,9 @@ fn empty_input_completes_with_zero_records() {
 #[test]
 fn tracing_and_exposition_never_change_output_bytes() {
     use genasm_pipeline::TraceRecorder;
-    use std::sync::Arc;
 
     let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let plain_cfg = PipelineConfig {
         batch_bases: 8 * 1024,
         queue_depth: 2,
@@ -774,13 +806,12 @@ fn tracing_and_exposition_never_change_output_bytes() {
 #[test]
 fn explain_stream_is_passive_and_covers_every_read() {
     use genasm_pipeline::ExplainSink;
-    use std::sync::Arc;
 
     let (reference, mut reads) = workload(40_000, 8, 600);
     // An empty read can never anchor: it must still get an explain
     // line (disposition unmapped:no_anchors) despite emitting nothing.
     reads.push(("lost \"read\"".to_string(), Seq::new()));
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let plain_cfg = PipelineConfig {
         batch_bases: 8 * 1024,
         queue_depth: 2,
@@ -854,7 +885,7 @@ fn explain_stream_is_passive_and_covers_every_read() {
 #[test]
 fn latency_histograms_cover_the_read_lifecycle() {
     let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
+    let backend: Arc<dyn Backend> = Arc::new(CpuBackend::improved());
     let cfg = PipelineConfig {
         batch_bases: 4 * 1024,
         queue_depth: 4,

@@ -70,7 +70,7 @@ fn one_shot(reads: &[(String, Seq)], reference: &Reference, backend: BackendKind
     run_pipeline(
         stream,
         reference.clone(),
-        backend.create().as_ref(),
+        backend.create(),
         &PipelineConfig::default(),
         |rec| {
             buf.push_str(&rec.to_tsv());

@@ -336,6 +336,7 @@ fn drain_events(
     input_err: &Mutex<Option<String>>,
     heartbeat: Option<Duration>,
 ) -> io::Result<BufWriter<Conn>> {
+    let mut line = Vec::new();
     loop {
         let event = match heartbeat {
             Some(hb) => match receiver.recv_deadline(hb) {
@@ -354,8 +355,12 @@ fn drain_events(
         };
         match event {
             SessionEvent::Rows(rows) => {
+                // One render per row, straight into the buffered
+                // writer's reused line buffer.
                 for row in &rows {
-                    writeln!(writer, "{}", format.line(row))?;
+                    line.clear();
+                    format.write_line(row, &mut line);
+                    writer.write_all(&line)?;
                 }
                 writer.flush()?;
             }

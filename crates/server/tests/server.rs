@@ -66,7 +66,7 @@ impl Fixture {
         run_pipeline(
             stream,
             Reference::single("ref", self.reference.clone()),
-            backend.create().as_ref(),
+            backend.create(),
             &PipelineConfig::default(),
             |rec| {
                 buf.push_str(&fmt.line(rec));
