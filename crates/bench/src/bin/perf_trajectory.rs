@@ -5,16 +5,10 @@
 //! geometry) through every backend and writes `BENCH_pipeline.json`:
 //! reads/s, aligned query bases/s, record counts, and the peak
 //! resident task bases per backend, plus the shard-local reference
-//! residency. A final adaptive pass (`--backend auto`'s router over
-//! cpu + gpu-sim) rides along as a top-level `router` block — reads/s
-//! for the routed run next to the best static backend it chooses
-//! from, plus the per-backend batch split — which
-//! `scripts/perf_gate.py` uses to fail the job when adaptive routing
-//! falls off a cliff relative to the best static choice. CI uploads
-//! the file as an artifact on every push, so the numbers accumulate
-//! into a throughput trajectory over the repository's history.
-//! Absolute numbers vary with runner hardware and are archived, not
-//! asserted; only the within-run auto-vs-static ratio is gated.
+//! residency. CI uploads the file as an artifact on every push, so the
+//! numbers accumulate into a throughput trajectory over the
+//! repository's history, and `scripts/perf_gate.py` compares each
+//! backend's reads/s with a baseline.
 //!
 //! Usage: `perf-trajectory [OUTPUT_PATH]` (default
 //! `BENCH_pipeline.json`).
@@ -23,9 +17,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use align_core::Reference;
-use genasm_pipeline::{
-    run_pipeline, run_pipeline_auto, BackendKind, PipelineConfig, ReadInput, RouterConfig,
-};
+use genasm_pipeline::{run_pipeline, BackendKind, PipelineConfig, ReadInput};
 use mapper::CandidateParams;
 use readsim::{contig_lengths, simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
 
@@ -139,50 +131,6 @@ fn run_backend(
     })
 }
 
-struct AutoRow {
-    wall_s: f64,
-    reads_per_sec: f64,
-    records: u64,
-    explored: u64,
-    /// Batches the router assigned per backend, in registration order.
-    batches: Vec<(String, u64)>,
-}
-
-/// One adaptive pass: the same pinned workload through `--backend
-/// auto`'s router (cpu + gpu-sim residents). Routing feeds on live
-/// latency, so the batch split is not pinned — only the output is —
-/// which is exactly what the archived block documents.
-fn run_auto(reference: &Reference, reads: &[(String, align_core::Seq)]) -> Result<AutoRow, String> {
-    let cfg = pinned_cfg();
-    let run = || {
-        let stream = reads.iter().map(|(n, s)| {
-            Ok::<_, std::convert::Infallible>(ReadInput {
-                name: n.clone(),
-                seq: s.clone(),
-            })
-        });
-        run_pipeline_auto(
-            stream,
-            reference.clone(),
-            &cfg,
-            RouterConfig::default(),
-            |_| Ok(()),
-        )
-        .map_err(|e| format!("backend auto: {e}"))
-    };
-    run()?; // warm-up, matching the static rows
-    let t0 = Instant::now();
-    let metrics = run()?;
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    Ok(AutoRow {
-        wall_s: wall,
-        reads_per_sec: metrics.reads_in as f64 / wall,
-        records: metrics.records_out,
-        explored: metrics.router_explored,
-        batches: metrics.router_batches,
-    })
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -208,40 +156,9 @@ fn main() {
         }
     }
 
-    let auto = match run_auto(&reference, &reads) {
-        Ok(row) => {
-            eprintln!(
-                "perf-trajectory: auto: {:.0} reads/s, {} batches routed, {} explored",
-                row.reads_per_sec,
-                row.batches.iter().map(|(_, n)| n).sum::<u64>(),
-                row.explored
-            );
-            row
-        }
-        Err(e) => {
-            eprintln!("perf-trajectory: FAILED: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The router only chooses among the byte-identical GenASM engines,
-    // so "best static" is the faster of those residents, not the best
-    // backend overall.
-    let best_static = rows
-        .iter()
-        .filter(|r| r.name == "cpu" || r.name == "gpu-sim")
-        .max_by(|a, b| a.reads_per_sec.total_cmp(&b.reads_per_sec))
-        .expect("cpu and gpu-sim rows always run");
-    if auto.records != best_static.records {
-        eprintln!(
-            "perf-trajectory: FAILED: auto emitted {} records but {} emitted {}",
-            auto.records, best_static.name, best_static.records
-        );
-        std::process::exit(1);
-    }
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"genasm-bench-pipeline/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"genasm-bench-pipeline/v5\",");
     let _ = writeln!(
         json,
         "  \"workload\": {{\"genome_len\": {GENOME_LEN}, \"contigs\": {CONTIGS}, \
@@ -304,28 +221,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  }},");
-    // v4: the adaptive-routing block. `scripts/perf_gate.py` fails the
-    // job when `auto_reads_per_sec` regresses more than the tolerance
-    // below `best_static_reads_per_sec` from the same run.
-    let mut batches = String::new();
-    for (i, (name, n)) in auto.batches.iter().enumerate() {
-        let _ = write!(batches, "{}\"{name}\": {n}", if i > 0 { ", " } else { "" });
-    }
-    let _ = writeln!(
-        json,
-        "  \"router\": {{\"auto_wall_s\": {:.6}, \"auto_reads_per_sec\": {:.2}, \
-         \"auto_records\": {}, \"best_static\": \"{}\", \
-         \"best_static_reads_per_sec\": {:.2}, \"explored\": {}, \
-         \"batches\": {{{}}}}}",
-        auto.wall_s,
-        auto.reads_per_sec,
-        auto.records,
-        best_static.name,
-        best_static.reads_per_sec,
-        auto.explored,
-        batches
-    );
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
     if let Err(e) = std::fs::write(&out_path, &json) {

@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use align_core::{AlignTask, Alignment, Reference, Seq};
 use genasm_pipeline::{
-    disposition, AlignRecord, Backend, BackendChoice, BackendError, CpuBackend, EdlibBackend,
+    disposition, AlignRecord, Backend, BackendError, BackendKind, CpuBackend, EdlibBackend,
     ExplainRecord, ExplainSink, Ksw2Backend, OutputFormat, PipelineConfig, PipelineMetrics,
-    ReadInput, ReadProvenance, RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
+    ReadInput, ReadProvenance, ServiceConfig, TaskExplain, TraceRecorder,
 };
 use genasm_server::client::SubmitOptions;
 use genasm_server::{Endpoint, Server, ServerConfig};
@@ -157,19 +157,18 @@ pub const USAGE: &str = "usage:
   genasm align    --ref FILE --reads FILE [--aligner genasm|genasm-base|edlib|ksw2] [--max-per-read N]
                   [--threads N] [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--explain FILE]
-  genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2|auto] [--batch-bases N]
+  genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--batch-bases N]
                   [--queue-depth N] [--max-per-read N] [--threads N]
                   [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--metrics on|json] [--trace FILE] [--explain FILE]
-                  [--route-explore-every N] [--route-pinned on]
-  genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2|auto] [--format tsv|paf]
+  genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
                   [--max-per-read N] [--threads N] [--shards N]
                   [--shard-overlap BASES] [--metrics on|json] [--trace FILE] [--explain FILE]
                   [--session-output-cap BYTES] [--overflow throttle|evict]
                   [--session-inflight-reads N] [--session-inflight-bases N]
-                  [--idle-timeout-ms N] [--route-explore-every N] [--route-pinned on]
-  genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2|auto] [--format tsv|paf]
+                  [--idle-timeout-ms N]
+  genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--explain FILE]
   genasm ctl      ping|stats|stats-json|stats-prom|shutdown --to ENDPOINT
   genasm ctl      top --to ENDPOINT [--interval-ms N] [--frames N]
@@ -188,10 +187,6 @@ stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
 genasm-explain/v1 JSON line per read (funnel counts, hint-vs-edits per
 candidate, final disposition) without changing record output.
-`--backend auto` routes each batch to cpu or gpu-sim from live latency
-metrics; output stays byte-identical to a fixed backend
-(`--route-pinned on` makes the routing trace itself deterministic,
-`--route-explore-every N` bounds how stale a backend's estimate may go).
 `ctl stats-json` / `ctl stats-prom` print a live server snapshot as
 JSON / Prometheus text on stdout; `ctl top` streams one
 genasm-stat-frame/v1 JSON object per line (every --interval-ms,
@@ -224,15 +219,48 @@ fn load_single_sequence(path: &str) -> Result<(String, Seq), CliError> {
     Ok((rec.name, rec.seq))
 }
 
+/// Flags `pipeline` and `serve` no longer take, each with a hint at
+/// what replaces it. The flag parser accepts any `--name value` pair,
+/// so without this table a removed flag would be silently ignored.
+const REMOVED_FLAGS: [(&str, &str); 3] = [
+    (
+        "dispatchers",
+        "the engine runs one worker per thread; use --threads N",
+    ),
+    (
+        "route-explore-every",
+        "there is no adaptive routing; --backend names the one backend a run uses",
+    ),
+    (
+        "route-pinned",
+        "there is no adaptive routing; --backend names the one backend a run uses",
+    ),
+];
+
+/// Usage error for the first removed flag present.
+fn reject_removed_flags(flags: &Flags) -> Result<(), CliError> {
+    match REMOVED_FLAGS
+        .iter()
+        .find(|(name, _)| flags.get(name).is_some())
+    {
+        Some((name, hint)) => Err(CliError::usage(format!("--{name} was removed: {hint}"))),
+        None => Ok(()),
+    }
+}
+
+/// `--backend NAME` (default `cpu`).
+fn backend_flag(flags: &Flags) -> Result<BackendKind, CliError> {
+    flags
+        .get("backend")
+        .unwrap_or("cpu")
+        .parse()
+        .map_err(|e| CliError::usage(format!("{e}")))
+}
+
 /// `--threads N`: the number of engine workers `align`, `pipeline`
 /// and `serve` run (0 or absent = every available core). It is the
-/// only parallelism knob; the old `--dispatchers` is rejected.
+/// only parallelism knob.
 fn engine_threads(flags: &Flags) -> Result<usize, CliError> {
-    if flags.get("dispatchers").is_some() {
-        return Err(CliError::usage(
-            "--dispatchers was removed: the engine runs one worker per thread; use --threads N",
-        ));
-    }
     match flags.num("threads", 0)? {
         0 => Ok(genasm_pipeline::available_threads()),
         n => Ok(n),
@@ -669,11 +697,8 @@ fn align_on_threads(
 
 /// Streaming alignment through the bounded-queue pipeline.
 fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    let backend: BackendChoice = flags
-        .get("backend")
-        .unwrap_or("cpu")
-        .parse()
-        .map_err(|e| CliError::usage(format!("{e}")))?;
+    reject_removed_flags(flags)?;
+    let backend = backend_flag(flags)?;
     let (shards, shard_overlap) = shard_params(flags)?;
     let trace = trace_recorder(flags)?;
     let cfg = PipelineConfig {
@@ -707,21 +732,9 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         format.write_line(rec, &mut line);
         out.write_all(&line)
     };
-    let metrics = match backend.fixed() {
-        Some(kind) => {
-            genasm_pipeline::run_pipeline(stream, reference, kind.create(), &cfg, &mut write_row)
-        }
-        // `--backend auto`: the router assigns each batch to cpu or
-        // gpu-sim from live metrics; output bytes are identical.
-        None => {
-            let router = RouterConfig {
-                explore_every: flags.num("route-explore-every", 16)?,
-                pinned: matches!(flags.get("route-pinned"), Some("on")),
-            };
-            genasm_pipeline::run_pipeline_auto(stream, reference, &cfg, router, &mut write_row)
-        }
-    }
-    .map_err(|e| CliError::runtime(e.to_string()))?;
+    let metrics =
+        genasm_pipeline::run_pipeline(stream, reference, backend.create(), &cfg, &mut write_row)
+            .map_err(|e| CliError::runtime(e.to_string()))?;
 
     finish_trace(&trace)?;
     emit_metrics(metrics_out, &metrics);
@@ -736,12 +749,9 @@ fn endpoint_flag(flags: &Flags, name: &str) -> Result<Endpoint, CliError> {
 /// `genasm serve`: load the reference once, start the resident
 /// alignment server, and run until a client sends SHUTDOWN.
 fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
+    reject_removed_flags(flags)?;
     let endpoint = endpoint_flag(flags, "listen")?;
-    let default_backend: BackendChoice = flags
-        .get("backend")
-        .unwrap_or("cpu")
-        .parse()
-        .map_err(|e| CliError::usage(format!("{e}")))?;
+    let default_backend = backend_flag(flags)?;
     let default_format = output_format(flags)?;
     let (shards, shard_overlap) = shard_params(flags)?;
     let metrics_out = metrics_mode(flags);
@@ -767,10 +777,6 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(CliError::usage)?,
         max_session_inflight_reads: flags.num("session-inflight-reads", 1024)?,
         max_session_inflight_bases: flags.num("session-inflight-bases", 0)?,
-        router: RouterConfig {
-            explore_every: flags.num("route-explore-every", 16)?,
-            pinned: matches!(flags.get("route-pinned"), Some("on")),
-        },
     };
     // 0 disables the idle timeout (and its heartbeats) entirely.
     let idle_timeout = match flags.num("idle-timeout-ms", 30_000u64)? {

@@ -265,18 +265,21 @@ fn unknown_aligner_and_backend_list_valid_choices() {
         assert!(e.message.contains(name), "missing {name}: {}", e.message);
     }
 
-    let e = run_err(&[
-        "pipeline",
-        "--ref",
-        "/nope",
-        "--reads",
-        "/nope",
-        "--backend",
-        "tpu",
-    ]);
-    assert_eq!(e.code, 2);
-    for name in ["cpu", "gpu-sim", "edlib", "ksw2"] {
-        assert!(e.message.contains(name), "missing {name}: {}", e.message);
+    // `auto` is not a backend: it fails like any unknown name.
+    for backend in ["tpu", "auto"] {
+        let e = run_err(&[
+            "pipeline",
+            "--ref",
+            "/nope",
+            "--reads",
+            "/nope",
+            "--backend",
+            backend,
+        ]);
+        assert_eq!(e.code, 2);
+        for name in ["cpu", "gpu-sim", "edlib", "ksw2"] {
+            assert!(e.message.contains(name), "missing {name}: {}", e.message);
+        }
     }
 }
 
@@ -334,20 +337,32 @@ fn engine_worker_count_never_changes_output_and_dispatchers_is_gone() {
             "pipeline --threads {threads} diverged from align"
         );
     }
-    for cmd in ["pipeline", "serve"] {
-        let e = run_err(&[
-            cmd,
-            "--ref",
-            &ref_path,
-            "--reads",
-            &reads_path,
-            "--listen",
-            "tcp:127.0.0.1:0",
-            "--dispatchers",
-            "2",
-        ]);
-        assert_eq!(e.code, 2, "{cmd}: {}", e.message);
-        assert!(e.message.contains("--threads"), "{cmd}: {}", e.message);
+    // Removed flags are usage errors that name the replacement, not
+    // silently ignored `--name value` pairs.
+    for (flag, value, hint) in [
+        ("--dispatchers", "2", "--threads"),
+        ("--route-explore-every", "16", "--backend"),
+        ("--route-pinned", "on", "--backend"),
+    ] {
+        for cmd in ["pipeline", "serve"] {
+            let e = run_err(&[
+                cmd,
+                "--ref",
+                &ref_path,
+                "--reads",
+                &reads_path,
+                "--listen",
+                "tcp:127.0.0.1:0",
+                flag,
+                value,
+            ]);
+            assert_eq!(e.code, 2, "{cmd} {flag}: {}", e.message);
+            assert!(
+                e.message.contains(&format!("{flag} was removed")) && e.message.contains(hint),
+                "{cmd} {flag}: {}",
+                e.message
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -374,81 +374,6 @@ impl std::fmt::Display for ParseBackendError {
 
 impl std::error::Error for ParseBackendError {}
 
-/// What a session (or the CLI `--backend` flag) selects: a pinned
-/// [`BackendKind`], or adaptive routing. Under [`BackendChoice::Auto`]
-/// the scheduler's [`crate::route::Router`] picks a concrete backend
-/// per batch from live telemetry, restricted to the engines that
-/// produce bit-identical GenASM output (`cpu`, `gpu-sim`) — so routing
-/// never changes output bytes, only where the work runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Adaptive per-batch routing among the bit-identical engines.
-    Auto,
-    /// A pinned backend.
-    Fixed(BackendKind),
-}
-
-impl BackendChoice {
-    /// The CLI/protocol spelling of [`BackendChoice::Auto`].
-    pub const AUTO_NAME: &'static str = "auto";
-
-    /// The pinned kind, or `None` for [`BackendChoice::Auto`].
-    pub fn fixed(&self) -> Option<BackendKind> {
-        match self {
-            BackendChoice::Auto => None,
-            BackendChoice::Fixed(kind) => Some(*kind),
-        }
-    }
-}
-
-impl From<BackendKind> for BackendChoice {
-    fn from(kind: BackendKind) -> BackendChoice {
-        BackendChoice::Fixed(kind)
-    }
-}
-
-impl std::str::FromStr for BackendChoice {
-    type Err = ParseBackendChoiceError;
-
-    fn from_str(s: &str) -> Result<BackendChoice, ParseBackendChoiceError> {
-        if s == BackendChoice::AUTO_NAME {
-            return Ok(BackendChoice::Auto);
-        }
-        s.parse::<BackendKind>()
-            .map(BackendChoice::Fixed)
-            .map_err(|e| ParseBackendChoiceError { given: e.given })
-    }
-}
-
-impl std::fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendChoice::Auto => f.write_str(BackendChoice::AUTO_NAME),
-            BackendChoice::Fixed(kind) => kind.fmt(f),
-        }
-    }
-}
-
-/// Error for an unrecognized backend choice; lists the valid names
-/// including `auto`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendChoiceError {
-    /// What the user typed.
-    pub given: String,
-}
-
-impl std::fmt::Display for ParseBackendChoiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown backend '{}'; valid backends are ", self.given)?;
-        for (_, name) in BackendKind::ALL.iter() {
-            write!(f, "'{name}', ")?;
-        }
-        write!(f, "'{}'", BackendChoice::AUTO_NAME)
-    }
-}
-
-impl std::error::Error for ParseBackendChoiceError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,33 +439,6 @@ mod tests {
         let out = backend.align_batch(&tasks).unwrap();
         assert_eq!(out[0].as_ref().unwrap().edit_distance, 0);
         assert!(out[1].is_none(), "impossible task must be None");
-    }
-
-    #[test]
-    fn choice_round_trips_and_accepts_auto() {
-        assert_eq!(
-            "auto".parse::<BackendChoice>().unwrap(),
-            BackendChoice::Auto
-        );
-        assert_eq!(BackendChoice::Auto.to_string(), "auto");
-        assert_eq!(BackendChoice::Auto.fixed(), None);
-        for (kind, name) in BackendKind::ALL {
-            let choice = name.parse::<BackendChoice>().unwrap();
-            assert_eq!(choice, BackendChoice::Fixed(kind));
-            assert_eq!(choice, kind.into());
-            assert_eq!(choice.to_string(), name);
-            assert_eq!(choice.fixed(), Some(kind));
-        }
-    }
-
-    #[test]
-    fn unknown_choice_lists_names_including_auto() {
-        let msg = "tpu".parse::<BackendChoice>().unwrap_err().to_string();
-        assert!(msg.contains("'tpu'"), "{msg}");
-        for (_, name) in BackendKind::ALL {
-            assert!(msg.contains(&format!("'{name}'")), "missing {name}: {msg}");
-        }
-        assert!(msg.contains("'auto'"), "{msg}");
     }
 
     #[test]

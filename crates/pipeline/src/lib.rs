@@ -4,13 +4,13 @@
 //! core — the resident [`service::PipelineService`]:
 //!
 //! ```text
-//!  session(s) ──► candidate generation ──► batch scheduler ──► router ──► dispatchers ──► ordered sink
-//!  (submit)       (sharded index fan-out    (one building      (auto:      (N threads,     (global reorder,
-//!                  ┌► shard 0 ─┐             batch per          metrics-    any Backend)    per-session rows)
-//!                  ├► shard …  ├─ merge)     backend choice)    driven          │
-//!                  └► shard S ─┘                 │              pick)      result queue
-//!                     │                          ▼                         (bounded)
-//!                 task queue                batch queue
+//!  session(s) ──► candidate generation ──► batch scheduler ──► dispatchers ──► ordered sink
+//!  (submit)       (sharded index fan-out    (one building      (N threads,     (global reorder,
+//!                  ┌► shard 0 ─┐             batch per          the session's   per-session rows)
+//!                  ├► shard …  ├─ merge)     backend)           Backend)
+//!                  └► shard S ─┘                 │                  │
+//!                     │                          ▼             result queue
+//!                 task queue                batch queue         (bounded)
 //!                (bounded, weighted          (bounded)
 //!                 by bases)
 //! ```
@@ -20,14 +20,12 @@
 //! the read iterator through it: the scheduler/dispatch/sink stages
 //! exist exactly once, in [`service`], so the one-shot path and the
 //! server share them *structurally* rather than by byte-equivalence
-//! testing. [`run_pipeline_auto`] is the same wrapper with
-//! [`BackendChoice::Auto`]: a [`route::Router`] assigns each batch to
-//! a backend from live metrics (see the module docs of [`route`]).
+//! testing.
 //!
 //! The paper's evaluation drives GenASM as a one-shot batch: load every
 //! read, generate every candidate, align, print. This crate gives the
 //! suite the shape a production service needs — a *continuous stream*
-//! of alignment work fed to whichever backend is fastest — with three
+//! of alignment work fed to the backend each session names — with three
 //! invariants:
 //!
 //! * **Bounded memory.** Stages communicate over bounded queues
@@ -79,7 +77,6 @@ pub mod metrics;
 pub mod queue;
 pub mod record;
 pub mod reorder;
-pub mod route;
 pub mod service;
 
 use std::sync::Arc;
@@ -89,8 +86,8 @@ use align_core::{Reference, Seq};
 use mapper::CandidateParams;
 
 pub use backend::{
-    Backend, BackendChoice, BackendError, BackendKind, CpuBackend, EdlibBackend, GpuSimBackend,
-    Ksw2Backend, ParseBackendChoiceError, ParseBackendError,
+    Backend, BackendError, BackendKind, CpuBackend, EdlibBackend, GpuSimBackend, Ksw2Backend,
+    ParseBackendError,
 };
 pub use batcher::{Batch, BatchBuilder, TaskMeta};
 pub use explain::{disposition, ExplainRecord, ExplainSink, ReadProvenance, TaskExplain};
@@ -103,7 +100,6 @@ pub use metrics::{
 pub use queue::BoundedQueue;
 pub use record::{escape_name, unescape_name, AlignRecord, OutputFormat, ParseFormatError};
 pub use reorder::ReorderBuffer;
-pub use route::{Router, RouterConfig};
 pub use service::{
     AdmissionError, OverflowPolicy, PipelineService, RecvOutcome, ServiceConfig, Session,
     SessionEvent, SessionMetrics, SessionReceiver, SessionStat, SubmitError,
@@ -305,73 +301,6 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    // The kind is a routing tag for the single-entry table; the
-    // session is fixed to it, so it never reaches the auto router.
-    let table = vec![(BackendKind::Cpu, backend)];
-    run_oneshot(
-        reads,
-        reference,
-        table,
-        BackendKind::Cpu.into(),
-        cfg,
-        RouterConfig::default(),
-        &mut on_record,
-    )
-}
-
-/// [`run_pipeline`] under adaptive routing: a one-shot run whose
-/// session is [`BackendChoice::Auto`], so each dispatched batch is
-/// assigned to `cpu` or `gpu-sim` by the metrics-driven
-/// [`route::Router`]. Output is byte-identical to a fixed-backend run
-/// over the same reads — the two engines are bit-identical
-/// implementations of the improved GenASM algorithm, and the ordered
-/// sink restores submission order across them — while the routing
-/// itself surfaces in the returned metrics (`router_batches`,
-/// `genasm_router_batches_total{backend=…}`) and per-read `--explain`
-/// lines.
-pub fn run_pipeline_auto<I, E, F>(
-    reads: I,
-    reference: Reference,
-    cfg: &PipelineConfig,
-    router: RouterConfig,
-    mut on_record: F,
-) -> Result<PipelineMetrics, PipelineError>
-where
-    I: Iterator<Item = Result<ReadInput, E>> + Send,
-    E: core::fmt::Display,
-    F: FnMut(&AlignRecord) -> std::io::Result<()>,
-{
-    let table = vec![
-        (BackendKind::Cpu, BackendKind::Cpu.create()),
-        (BackendKind::GpuSim, BackendKind::GpuSim.create()),
-    ];
-    run_oneshot(
-        reads,
-        reference,
-        table,
-        BackendChoice::Auto,
-        cfg,
-        router,
-        &mut on_record,
-    )
-}
-
-/// The shared one-shot pump: private service, one session, stream the
-/// reads in, stream the rows out, abort on the first failure.
-fn run_oneshot<I, E, F>(
-    reads: I,
-    reference: Reference,
-    backends: Vec<(BackendKind, Arc<dyn Backend>)>,
-    choice: BackendChoice,
-    cfg: &PipelineConfig,
-    router: RouterConfig,
-    on_record: &mut F,
-) -> Result<PipelineMetrics, PipelineError>
-where
-    I: Iterator<Item = Result<ReadInput, E>>,
-    E: core::fmt::Display,
-    F: FnMut(&AlignRecord) -> std::io::Result<()>,
-{
     let svc_cfg = ServiceConfig {
         pipeline: cfg.clone(),
         max_sessions: 1,
@@ -388,11 +317,14 @@ where
         overflow: OverflowPolicy::Throttle,
         max_session_inflight_reads: 0,
         max_session_inflight_bases: 0,
-        router,
     };
-    let service = PipelineService::start_with_backends("", reference, svc_cfg, backends);
+    // The kind only keys the single-entry backend table; the caller's
+    // backend runs every batch.
+    let kind = BackendKind::Cpu;
+    let service =
+        PipelineService::start_with_backends("", reference, svc_cfg, vec![(kind, backend)]);
     let (mut session, rx) = service
-        .open_session(choice)
+        .open_session(kind)
         .expect("a fresh service admits its first session");
     let mut failure: Option<PipelineError> = None;
     'ingest: for item in reads {
@@ -410,7 +342,7 @@ where
         // Stream out whatever the sink has already delivered, so rows
         // flow to the caller while ingest continues.
         while let Some(event) = rx.try_recv() {
-            if let Err(e) = deliver(&service, event, on_record) {
+            if let Err(e) = deliver(&service, event, &mut on_record) {
                 failure = Some(e);
                 break 'ingest;
             }
@@ -433,7 +365,7 @@ where
     // is waiting for the drain loop below; nothing can be lost.
     let metrics = service.shutdown();
     while let Some(event) = rx.recv() {
-        match deliver(&service, event, on_record) {
+        match deliver(&service, event, &mut on_record) {
             Ok(true) => break,
             Ok(false) => {}
             Err(e) => {

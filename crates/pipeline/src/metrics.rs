@@ -65,8 +65,7 @@ pub struct BackendLat {
     pub batches: Arc<Counter>,
     /// Tasks across those batches.
     pub tasks: Arc<Counter>,
-    /// Bases across those batches (the denominator the adaptive
-    /// router's per-base cost model divides `execute_ns.sum` by).
+    /// Bases across those batches.
     pub bases: Arc<Counter>,
     /// Nanoseconds each batch waited between scheduler dispatch and
     /// the backend picking it up.
@@ -141,11 +140,6 @@ pub struct StageCounters {
     pub reorder_wait_ns: Arc<Histogram>,
     // Per-backend latency handles, created on first dispatch.
     backend_lats: Mutex<BTreeMap<String, BackendLat>>,
-    // Adaptive-router decision counters, created on first routed
-    // batch: how many batches each backend was chosen for, and how
-    // many of those picks were exploration (not cost-model) picks.
-    router_batches: Mutex<BTreeMap<String, Arc<Counter>>>,
-    pub router_explored: Arc<Counter>,
 }
 
 impl Default for StageCounters {
@@ -202,8 +196,6 @@ impl StageCounters {
             batch_build_ns: registry.histogram("batch_build_ns"),
             reorder_wait_ns: registry.histogram("reorder_wait_ns"),
             backend_lats: Mutex::new(BTreeMap::new()),
-            router_batches: Mutex::new(BTreeMap::new()),
-            router_explored: registry.counter("router_explored"),
             registry,
         }
     }
@@ -312,18 +304,6 @@ impl StageCounters {
         counter.add(d.as_nanos() as u64);
     }
 
-    /// Router decision counter for backend `name`, registered on first
-    /// use (rendered as `genasm_router_batches_total{backend="…"}`).
-    pub fn router_batch(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.router_batches.lock().expect("router batch mutex");
-        map.entry(name.to_string())
-            .or_insert_with(|| {
-                self.registry
-                    .labeled_counter("router_batches", "backend", name)
-            })
-            .clone()
-    }
-
     fn backend_snapshots(&self) -> Vec<BackendMetrics> {
         let map = self.backend_lats.lock().expect("backend lat mutex");
         map.iter()
@@ -336,11 +316,6 @@ impl StageCounters {
                 execute: lat.execute_ns.snapshot(),
             })
             .collect()
-    }
-
-    fn router_snapshots(&self) -> Vec<(String, u64)> {
-        let map = self.router_batches.lock().expect("router batch mutex");
-        map.iter().map(|(n, c)| (n.clone(), c.get())).collect()
     }
 }
 
@@ -544,12 +519,6 @@ pub struct PipelineMetrics {
     pub reorder_wait: HistogramSnapshot,
     /// Per-backend batch counts and latency histograms, name-sorted.
     pub backends: Vec<BackendMetrics>,
-    /// Adaptive-router decisions: batches assigned per backend,
-    /// name-sorted. Empty unless a session ran with `--backend auto`.
-    pub router_batches: Vec<(String, u64)>,
-    /// Router picks made by the exploration floor rather than the
-    /// cost model (a subset of the total routed batches).
-    pub router_explored: u64,
     /// Raw registry snapshot backing the fields above (the source for
     /// [`PipelineMetrics::to_prometheus`] and `le_monotonic`).
     pub registry: Snapshot,
@@ -675,20 +644,6 @@ impl PipelineMetrics {
                 fmt(b.queue_wait.p99()),
                 fmt(b.execute.p50()),
                 fmt(b.execute.p99()),
-            );
-        }
-        if !self.router_batches.is_empty() {
-            let picks: Vec<String> = self
-                .router_batches
-                .iter()
-                .map(|(name, n)| format!("{name} {n}"))
-                .collect();
-            let _ = writeln!(
-                s,
-                "router:   {} batches routed [{}], {} explored",
-                self.router_batches.iter().map(|(_, n)| n).sum::<u64>(),
-                picks.join(", "),
-                self.router_explored
             );
         }
         if let Some(e) = &self.engine {
@@ -852,16 +807,7 @@ impl PipelineMetrics {
                 b.execute.to_json()
             );
         }
-        s.push('}');
-        let _ = write!(s, ",\"router\":{{\"explored\":{},", self.router_explored);
-        s.push_str("\"batches\":{");
-        for (i, (name, n)) in self.router_batches.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", genasm_telemetry::json::escape(name), n);
-        }
-        s.push_str("}}}");
+        s.push_str("}}");
         s
     }
 
@@ -1018,8 +964,6 @@ impl PipelineMetrics {
             batch_build: c.batch_build_ns.snapshot(),
             reorder_wait: c.reorder_wait_ns.snapshot(),
             backends: c.backend_snapshots(),
-            router_batches: c.router_snapshots(),
-            router_explored: c.router_explored.get(),
             registry: c.registry.snapshot(),
         }
     }
@@ -1224,64 +1168,6 @@ mod tests {
         assert!(j.contains("\"engine\":null"), "{j}");
         assert!(j.contains("\"latency\":{\"read\":{\"count\":1"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-    }
-
-    #[test]
-    fn router_counters_render_in_summary_json_and_prometheus() {
-        let c = StageCounters::default();
-        // No routed batches: the summary line is absent, the JSON
-        // block renders empty.
-        let m = PipelineMetrics::snapshot(
-            &c,
-            Duration::from_secs(1),
-            1,
-            no_shards(),
-            q1(),
-            q1(),
-            q1(),
-            None,
-        );
-        assert!(!m.summary().contains("router:"), "{}", m.summary());
-        assert!(
-            m.to_json()
-                .contains("\"router\":{\"explored\":0,\"batches\":{}}"),
-            "{}",
-            m.to_json()
-        );
-        c.router_batch("cpu").add(3);
-        c.router_batch("gpu-sim").add(5);
-        c.router_explored.add(2);
-        let m = PipelineMetrics::snapshot(
-            &c,
-            Duration::from_secs(1),
-            1,
-            no_shards(),
-            q1(),
-            q1(),
-            q1(),
-            None,
-        );
-        let s = m.summary();
-        assert!(
-            s.contains("router:   8 batches routed [cpu 3, gpu-sim 5], 2 explored"),
-            "{s}"
-        );
-        let j = m.to_json();
-        assert!(
-            j.contains("\"router\":{\"explored\":2,\"batches\":{\"cpu\":3,\"gpu-sim\":5}}"),
-            "{j}"
-        );
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        let p = m.to_prometheus();
-        assert!(
-            p.contains("genasm_router_batches_total{backend=\"cpu\"} 3"),
-            "{p}"
-        );
-        assert!(
-            p.contains("genasm_router_batches_total{backend=\"gpu-sim\"} 5"),
-            "{p}"
-        );
-        assert!(p.contains("genasm_router_explored_total 2"), "{p}");
     }
 
     #[test]

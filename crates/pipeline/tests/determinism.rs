@@ -14,19 +14,15 @@
 //!    for any shard count × overlap × batching geometry.
 //!
 //! CI runs this suite in a matrix over `GENASM_TEST_SHARDS` (1 and 4)
-//! × `GENASM_TEST_CONTIGS` (1 and 3) × `GENASM_TEST_BACKEND` (unset
-//! and `auto`); tests that don't sweep those axes themselves use the
-//! env values, so every determinism property is exercised against a
-//! sharded index, a multi-contig index, *and* the adaptive router
-//! (which must leave every output byte untouched while it spreads
-//! batches across cpu and gpu-sim).
+//! × `GENASM_TEST_CONTIGS` (1 and 3); tests that don't sweep those
+//! axes themselves use the env values, so every determinism property
+//! is exercised against a sharded index and a multi-contig index.
 
 use std::sync::Arc;
 
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
-    run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, PipelineConfig,
-    PipelineError, ReadInput, RouterConfig,
+    run_pipeline, AlignRecord, Backend, CpuBackend, PipelineConfig, PipelineError, ReadInput,
 };
 use mapper::{CandidateParams, MinimizerIndex};
 use readsim::{contig_lengths, simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
@@ -38,15 +34,6 @@ fn env_shards() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
-}
-
-/// `GENASM_TEST_BACKEND=auto` re-runs the suite with every
-/// `run_stream` call going through the adaptive router instead of the
-/// fixed CPU backend — the byte-identity assertions then prove routing
-/// never leaks into output. Tests that inject a custom backend (error
-/// injection) keep their fixed path regardless.
-fn env_auto() -> bool {
-    std::env::var("GENASM_TEST_BACKEND").is_ok_and(|v| v == "auto")
 }
 
 /// Contig count used by the workload builder; the CI matrix sets
@@ -130,27 +117,11 @@ fn run_stream(
         })
     });
     let mut buf = String::new();
-    let on_record = |buf: &mut String, rec: &AlignRecord| {
+    let metrics = run_pipeline(stream, reference.clone(), Arc::clone(backend), cfg, |rec| {
         buf.push_str(&rec.to_tsv());
         buf.push('\n');
-    };
-    let metrics = if env_auto() && backend.name() == "cpu" {
-        run_pipeline_auto(
-            stream,
-            reference.clone(),
-            cfg,
-            RouterConfig::default(),
-            |rec| {
-                on_record(&mut buf, rec);
-                Ok(())
-            },
-        )
-    } else {
-        run_pipeline(stream, reference.clone(), Arc::clone(backend), cfg, |rec| {
-            on_record(&mut buf, rec);
-            Ok(())
-        })
-    }
+        Ok(())
+    })
     .expect("pipeline run failed");
     (buf, metrics)
 }
@@ -900,36 +871,14 @@ fn latency_histograms_cover_the_read_lifecycle() {
     assert_eq!(m.reorder_wait.count, m.batches);
     assert!(m.read_latency.p50() <= m.read_latency.p99());
     assert!(m.read_latency.sum > 0, "reads cannot take zero time");
-    // Under a fixed backend the breakdown has one entry; under the
-    // `auto` axis batches split across cpu and gpu-sim — either way
-    // every dispatched batch is accounted to exactly one backend.
-    assert!(!m.backends.is_empty(), "backend breakdown missing");
-    assert_eq!(m.backends.iter().map(|b| b.batches).sum::<u64>(), m.batches);
-    assert_eq!(
-        m.backends.iter().map(|b| b.tasks).sum::<u64>(),
-        m.batch_tasks
-    );
-    assert_eq!(
-        m.backends.iter().map(|b| b.execute.count).sum::<u64>(),
-        m.batches
-    );
-    assert_eq!(
-        m.backends.iter().map(|b| b.queue_wait.count).sum::<u64>(),
-        m.batches
-    );
-    if !env_auto() {
-        let be = m
-            .backends
-            .iter()
-            .find(|b| b.name == backend.name())
-            .expect("fixed backend missing from the breakdown");
-        assert_eq!(be.batches, m.batches);
-    } else {
-        // The router's decisions surface as first-class telemetry.
-        assert_eq!(
-            m.router_batches.iter().map(|(_, n)| n).sum::<u64>(),
-            m.batches,
-            "every batch must be accounted to a routing decision"
-        );
-    }
+    // The breakdown has one entry, the run's backend, and every
+    // dispatched batch is accounted to it.
+    let [be] = m.backends.as_slice() else {
+        panic!("expected one backend entry, got {:?}", m.backends);
+    };
+    assert_eq!(be.name, backend.name());
+    assert_eq!(be.batches, m.batches);
+    assert_eq!(be.tasks, m.batch_tasks);
+    assert_eq!(be.execute.count, m.batches);
+    assert_eq!(be.queue_wait.count, m.batches);
 }

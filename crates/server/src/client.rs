@@ -11,14 +11,13 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::endpoint::{connect, Endpoint};
 use crate::protocol::{DONE_PREFIX, ERR_PREFIX, HB_LINE, STATUS_PREFIX};
-use genasm_pipeline::{BackendChoice, OutputFormat};
+use genasm_pipeline::{BackendKind, OutputFormat};
 
 /// What to ask of the server.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// `SET backend …` before `BEGIN` (server default otherwise).
-    /// [`BackendChoice::Auto`] asks for the server's adaptive router.
-    pub backend: Option<BackendChoice>,
+    pub backend: Option<BackendKind>,
     /// `SET format …` before `BEGIN` (server default otherwise).
     pub format: Option<OutputFormat>,
     /// Send `PING` (liveness probe) in the preamble.

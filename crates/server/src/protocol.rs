@@ -8,7 +8,7 @@
 //! payloads can never collide with protocol framing):
 //!
 //! ```text
-//! SET backend cpu|gpu-sim|edlib|ksw2|auto     pick this session's backend
+//! SET backend cpu|gpu-sim|edlib|ksw2          pick this session's backend
 //! SET format tsv|paf                          pick this session's output format
 //! SET explain on|off                          stream per-read provenance lines
 //! PING                                        liveness probe
@@ -56,7 +56,7 @@
 //! feed then ends with `# ok stream-end`). Records cannot follow —
 //! the stream replaces the session.
 
-use genasm_pipeline::{BackendChoice, OutputFormat};
+use genasm_pipeline::{BackendKind, OutputFormat};
 
 /// Prefix of every non-record line the server emits.
 pub const STATUS_PREFIX: &str = "# ";
@@ -87,9 +87,8 @@ pub enum StatsFormat {
 /// A parsed client control verb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verb {
-    /// `SET backend <kind|auto>`. `auto` hands the session's batches
-    /// to the server's adaptive router.
-    SetBackend(BackendChoice),
+    /// `SET backend <kind>`.
+    SetBackend(BackendKind),
     /// `SET format <fmt>`.
     SetFormat(OutputFormat),
     /// `SET explain on|off`.
@@ -192,12 +191,12 @@ mod tests {
         assert_eq!(parse_verb("SHUTDOWN").unwrap(), Verb::Shutdown);
         assert_eq!(
             parse_verb("SET backend edlib").unwrap(),
-            Verb::SetBackend(genasm_pipeline::BackendKind::Edlib.into())
+            Verb::SetBackend(BackendKind::Edlib)
         );
-        assert_eq!(
-            parse_verb("SET backend auto").unwrap(),
-            Verb::SetBackend(BackendChoice::Auto)
-        );
+        let err = parse_verb("SET backend auto").unwrap_err();
+        for name in ["'auto'", "'cpu'", "'gpu-sim'", "'edlib'", "'ksw2'"] {
+            assert!(err.contains(name), "missing {name}: {err}");
+        }
         assert_eq!(
             parse_verb("SET format paf").unwrap(),
             Verb::SetFormat(OutputFormat::Paf)

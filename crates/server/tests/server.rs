@@ -82,7 +82,7 @@ impl Fixture {
         Server::start(
             ServerConfig {
                 endpoint: Endpoint::parse("127.0.0.1:0").unwrap(),
-                default_backend: BackendKind::Cpu.into(),
+                default_backend: BackendKind::Cpu,
                 default_format: OutputFormat::Tsv,
                 idle_timeout: None,
                 service,
@@ -102,7 +102,7 @@ impl Fixture {
         Server::start(
             ServerConfig {
                 endpoint: Endpoint::parse("127.0.0.1:0").unwrap(),
-                default_backend: BackendKind::Cpu.into(),
+                default_backend: BackendKind::Cpu,
                 default_format: OutputFormat::Tsv,
                 idle_timeout: Some(idle_timeout),
                 service,
@@ -184,7 +184,7 @@ fn paf_format_and_backend_are_session_scoped() {
         server.endpoint(),
         &reads_a,
         &SubmitOptions {
-            backend: Some(BackendKind::Edlib.into()),
+            backend: Some(BackendKind::Edlib),
             format: Some(OutputFormat::Paf),
             ..SubmitOptions::default()
         },
@@ -244,7 +244,7 @@ fn concurrent_clients_each_get_one_shot_bytes() {
                         &endpoint,
                         reads,
                         &SubmitOptions {
-                            backend: Some(backend.into()),
+                            backend: Some(backend),
                             ..SubmitOptions::default()
                         },
                     )
@@ -484,7 +484,7 @@ fn unix_socket_round_trip() {
     let server = Server::start(
         ServerConfig {
             endpoint: Endpoint::Unix(path.clone()),
-            default_backend: BackendKind::Cpu.into(),
+            default_backend: BackendKind::Cpu,
             default_format: OutputFormat::Tsv,
             idle_timeout: None,
             service: ServiceConfig::default(),

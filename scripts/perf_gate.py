@@ -7,12 +7,7 @@ run's artifact and fails on a throughput cliff:
 * per-backend ``reads_per_sec`` may not drop more than TOLERANCE
   (default 15%) below the baseline;
 * per-backend ``peak_resident_task_bases`` may not grow more than
-  TOLERANCE above the baseline;
-* (schema v4) the adaptive router's ``auto_reads_per_sec`` may not
-  drop more than TOLERANCE below the same run's
-  ``best_static_reads_per_sec`` — adaptive routing must keep up with
-  the best static backend it chooses from. This check compares within
-  the current file, so it runs even without a baseline.
+  TOLERANCE above the baseline.
 
 Backends present in only one file are reported but never fail the
 gate (backends come and go as the repository grows), and a missing or
@@ -53,47 +48,9 @@ def main():
         print(f"perf-gate: cannot read current file {args.current}: {e}")
         return 2
 
-    failures = []
-
-    # Router check: within-run, so it needs no baseline and runs before
-    # the baseline is even opened. Files from before schema v4 carry no
-    # router block and skip the check.
-    router = current.get("router")
-    if router is None:
-        print("perf-gate: no router block (schema < v4) — adaptive check skipped")
-    else:
-        auto_rps = float(router.get("auto_reads_per_sec", 0.0))
-        static_rps = float(router.get("best_static_reads_per_sec", 0.0))
-        floor = static_rps * (1.0 - args.tolerance)
-        verdict = "ok"
-        if static_rps > 0.0 and auto_rps < floor:
-            verdict = "REGRESSION"
-            failures.append(
-                f"router: auto reads/s {auto_rps:.1f} < {floor:.1f} "
-                f"(best static {router.get('best_static')!r} "
-                f"{static_rps:.1f} - {args.tolerance:.0%})"
-            )
-        split = ", ".join(
-            f"{name}={n}" for name, n in sorted(router.get("batches", {}).items())
-        )
-        print(
-            f"perf-gate: router: auto reads/s {auto_rps:.1f} vs best static "
-            f"{router.get('best_static')!r} {static_rps:.1f} "
-            f"(floor {floor:.1f}) {verdict}"
-        )
-        print(
-            f"perf-gate: router: batches [{split or 'none'}], "
-            f"{router.get('explored', 0)} explored (informational)"
-        )
-
     try:
         baseline = load(args.baseline)
     except (OSError, ValueError) as e:
-        if failures:
-            print("perf-gate: FAIL")
-            for f in failures:
-                print(f"perf-gate:   {f}")
-            return 1
         print(f"perf-gate: no usable baseline ({e}); skipping backend gate")
         return 0
 
@@ -103,6 +60,7 @@ def main():
         print("perf-gate: current file has no backends; refusing to pass silently")
         return 2
 
+    failures = []
     for name in sorted(cur_backends):
         cur = cur_backends[name]
         base = base_backends.get(name)
